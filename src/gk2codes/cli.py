@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import curve as curve_mod
@@ -91,16 +90,6 @@ def build_parser() -> _Parser:
     cm.add_argument("-o", "--output", default=None)
     _add_common(subs.add_parser("verify", help="full invariant suite for one (q, n)"))
     return p
-
-
-def _check_threads_env():
-    raw = os.environ.get("GK2_THREADS")
-    if raw is not None and raw.strip():
-        try:
-            if int(raw) < 1:
-                raise ValueError
-        except ValueError:
-            raise UsageError(f"GK2_THREADS must be a positive integer, got {raw!r}")
 
 
 def _require_curve_scale(q: int):
@@ -392,14 +381,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_threads_env()
+        fengrao._check_threads_env()
         result = _COMMANDS[args.command](args)
         code = EXIT_OK
         if isinstance(result, tuple):
             result, code = result
         if args.output:
-            with open(args.output, "w") as f:
-                f.write(result)
+            try:
+                with open(args.output, "w") as f:
+                    f.write(result)
+            except OSError as exc:
+                print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+                return EXIT_USAGE
         else:
             sys.stdout.write(result)
         return code

@@ -1,18 +1,23 @@
 """Feng-Rao bound machinery for dual one-point evaluation codes.
 
-nu(S, l) counts ordered pairs of nongaps summing to the l-th nongap; the
-designed distance d_ord(S, l) is the minimum of nu over all indices >= l.
-The scan terminates provably: once the l-th nongap rho satisfies
-rho + 1 >= 4*genus, no two gaps can sum to rho (every gap is < 2*genus), so
-nu equals "index - genus" from there on and is strictly increasing.
+nu(S, l) counts ordered pairs of nongaps summing to the l-th nongap rho_l;
+the designed distance d_ord(S, l) is the minimum of nu over all indices >= l.
+Both are read off one profile per semigroup, built on first use: by
+inclusion-exclusion nu_l = 2l - 1 - rho_l + GG(rho_l), where GG(r) counts
+ordered gap pairs summing to r, and one squaring of the gap indicator packed
+into fixed-width slots of a Python int (Kronecker substitution) gives GG at
+every r.  Gaps lie below the conductor c <= 2g, so GG vanishes from 4g - 1
+on and nu_l = l - g for l >= 3g: the profile stops at l = 3g + 1.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
+from .errors import InternalConsistencyError
 from .gk2 import CurveParams
 from .semigroup import NumericalSemigroup
 
@@ -34,57 +39,67 @@ class CodeTableRow:
     d_ord: int
 
 
+def _gap_pair_counts(gaps: tuple[int, ...], conductor: int) -> memoryview:
+    """GG(r) for r in [0, 2c - 2]: ordered gap pairs summing to r."""
+    # a count is at most the genus, so 2-byte slots cannot carry into each other
+    fmt, width = ("H", 2) if len(gaps) < 1 << 16 else ("I", 4)
+    low = 0 if sys.byteorder == "little" else width - 1
+    packed = bytearray(width * conductor)
+    for h in gaps:
+        packed[h * width + low] = 1
+    square = int.from_bytes(packed, sys.byteorder) ** 2
+    return memoryview(square.to_bytes(width * max(2 * conductor - 1, 0), sys.byteorder)).cast(fmt)
+
+
+def _profile(semigroup: NumericalSemigroup) -> tuple[list[int], list[int]]:
+    """(nu_l, min of nu_m over m >= l) for 1 <= l <= 3g + 1, kept on the instance."""
+    prof = vars(semigroup).get("_feng_rao_profile")
+    if prof is None:
+        g = semigroup.genus
+        pairs = _gap_pair_counts(semigroup.gaps, semigroup.conductor)
+        nus = [
+            2 * l - 1 - rho + (pairs[rho] if rho < len(pairs) else 0)
+            for l, rho in enumerate(semigroup.nongaps_upto(4 * g), start=1)
+        ]
+        if g and (len(nus) != 3 * g + 1 or nus[3 * g - 1] != 2 * g or sum(pairs) != g * g):
+            raise InternalConsistencyError(
+                f"Feng-Rao profile of {semigroup.generators} (g = {g}) breaks the tail "
+                "law nu(3g) = 2g or the gap pair total g^2"
+            )
+        prof = (nus, list(accumulate(reversed(nus), min))[::-1])
+        object.__setattr__(semigroup, "_feng_rao_profile", prof)
+    return prof
+
+
+def _read(semigroup: NumericalSemigroup, column: int, index: int) -> int:
+    # beyond the profile nu = index - genus, strictly increasing (the tail law)
+    values = _profile(semigroup)[column]
+    return values[index - 1] if index <= len(values) else index - semigroup.genus
+
+
 def nu(semigroup: NumericalSemigroup, index: int) -> int:
     """Ordered pairs (i, j) of nongap indices with rho_i + rho_j = rho_index."""
-    rho = semigroup.nth_nongap(index)
-    return sum(1 for h in semigroup.nongaps_upto(rho) if semigroup.contains(rho - h))
-
-
-def _tail_start(semigroup: NumericalSemigroup) -> int:
-    """First index whose nongap rho satisfies rho + 1 >= 4*genus."""
-    g = semigroup.genus
-    if g == 0:
-        return 1
-    # rho_l = l + g - 1 holds at and beyond the conductor; 4g-1 is beyond it
-    return 3 * g
+    if index < 1:
+        raise ValueError(f"nongap index must be >= 1, got {index}")
+    return _read(semigroup, 0, index)
 
 
 def d_ord(semigroup: NumericalSemigroup, index: int) -> int:
     """Designed minimum distance: min of nu over all indices >= index."""
     if index < 1:
         raise ValueError(f"index must be >= 1, got {index}")
-    g = semigroup.genus
-    tail = _tail_start(semigroup)
-    if index >= tail:
-        # nu is index - genus and strictly increasing from here on
-        return index - g if g else nu(semigroup, index)
-    best = None
-    for m in range(index, tail + 1):
-        v = nu(semigroup, m)
-        if best is None or v < best:
-            best = v
-    return best
+    return min(nu(semigroup, index), _read(semigroup, 1, index + 1))
 
 
-def _worker_cap() -> int:
+def _check_threads_env() -> None:
+    """Validate GK2_THREADS; tables are computed in one pass whatever its value."""
     raw = os.environ.get("GK2_THREADS", "").strip()
-    if not raw:
-        return 1
     try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"GK2_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"GK2_THREADS must be >= 1, got {cap}")
-    return cap
-
-
-def _ordered_map(fn, items):
-    cap = _worker_cap()
-    if cap == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
+        if not raw or int(raw) >= 1:
+            return
+    except ValueError:
+        pass
+    raise ValueError(f"GK2_THREADS must be a positive integer, got {raw!r}")
 
 
 def table(
@@ -94,38 +109,20 @@ def table(
     l_max: int | None = None,
 ) -> list[CodeTableRow]:
     """Parameter rows for the dual codes of length N = point count - 1."""
+    _check_threads_env()
     length = params.rational_point_count - 1
     if l_max is None:
         l_max = 3 * params.genus
     if not 1 <= l_min <= l_max <= length - 1:
         raise ValueError(f"need 1 <= l_min <= l_max <= N-1, got [{l_min}, {l_max}]")
-
-    # suffix minima of nu over [l_min, tail] give every d_ord in one pass
-    g = semigroup.genus
-    tail_start = _tail_start(semigroup)
-    tail = max(tail_start, l_max)
-
-    def nu_at(m: int) -> int:
-        if g and m >= tail_start:
-            return m - g
-        return nu(semigroup, m)
-
-    nus = _ordered_map(nu_at, range(l_min, tail + 1))
-    suffix_min = nus[:]
-    for i in range(len(suffix_min) - 2, -1, -1):
-        if suffix_min[i + 1] < suffix_min[i]:
-            suffix_min[i] = suffix_min[i + 1]
-
-    rows = []
-    for l in range(l_min, l_max + 1):
-        rows.append(
-            CodeTableRow(
-                length=length,
-                index=l,
-                dim=length - l,
-                rho=semigroup.nth_nongap(l),
-                nu=nus[l - l_min],
-                d_ord=suffix_min[l - l_min],
-            )
+    return [
+        CodeTableRow(
+            length=length,
+            index=l,
+            dim=length - l,
+            rho=semigroup.nth_nongap(l),
+            nu=_read(semigroup, 0, l),
+            d_ord=_read(semigroup, 1, l),
         )
-    return rows
+        for l in range(l_min, l_max + 1)
+    ]

@@ -1,12 +1,11 @@
 """Finitely generated numerical semigroups.
 
 A numerical semigroup here is the set of all non-negative integer
-combinations of a finite generating set with gcd 1.  Construction runs a
-dynamic-programming sieve up to a bound that provably covers the conductor
-(the Frobenius bound (a-1)(b-1) for a coprime generator pair when one
-exists), then shrinks to the observed conductor.  The sieve is self-proving:
-the bound is grown until a full window of min(generators) consecutive
-members closes the gap list.
+combinations of a finite generating set with gcd 1.  Construction closes the
+generators on a Python-int bitset up to a bound that provably covers the
+conductor (the Frobenius bound (a-1)(b-1) for a coprime generator pair when
+one exists), then shrinks to the observed conductor.  It is self-proving:
+the bound is grown until min(generators) consecutive members close the gaps.
 
 Elements of the semigroup are called nongaps, the finitely many missing
 non-negative integers gaps; the number of gaps is the genus.  Nongaps are
@@ -18,16 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def closure_table(generators: tuple[int, ...], bound: int) -> bytearray:
-    """Reachability table for sums of generators on [0, bound]."""
-    reach = bytearray(bound + 1)
-    reach[0] = 1
-    for g in generators:
-        for v in range(g, bound + 1):
-            if reach[v - g]:
-                reach[v] = 1
-    return reach
+    """Reachability table for sums of generators on [0, bound], via a bitset."""
+    mask = (1 << (bound + 1)) - 1
+    reach = 1
+    for a in generators:
+        stride = a  # shifts by a, 2a, 4a, ... add every multiple of a up to the bound
+        while stride <= bound:
+            reach |= (reach << stride) & mask
+            stride <<= 1
+    # bit v of reach becomes byte v of the table
+    return bytearray(format(reach, f"0{bound + 1}b")[::-1], "ascii").translate(_ASCII_BITS)
 
 
 def _initial_bound(gens: tuple[int, ...]) -> int:

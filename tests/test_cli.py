@@ -141,6 +141,20 @@ def test_threads_env_usage_error(capsys, monkeypatch):
     assert run_cli(capsys, "frobenius", "--q", "2", "--n", "5")[0] == 0
 
 
+def test_unwritable_output_is_a_one_line_error(tmp_path):
+    target = tmp_path / "missing" / "x"
+    out = subprocess.run(
+        [sys.executable, "-m", "gk2codes.cli", "semigroup", "--q", "2", "--n", "3",
+         "--orbit", "O1", "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert out.stdout == ""
+
+
 def test_console_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "gk2codes.cli", "points", "--q", "2", "--n", "3"],

@@ -1,0 +1,133 @@
+"""The one-squaring Feng-Rao profile and the bitset closure against their slow oracles.
+
+The oracles are the former implementations: a fresh O(rho) scan per nu value,
+d_ord as a suffix scan of those values up to the tail start 3g, the table
+built from them, and the bytearray dynamic-programming closure.
+"""
+
+from functools import cache
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gk2codes.fengrao import CodeTableRow, d_ord, nu, table
+from gk2codes.gk2 import curve_params, o1_generators, o2_generators, orbit_semigroup
+from gk2codes.semigroup import NumericalSemigroup, closure_table
+
+
+def closure_table_dp(generators, bound):
+    """Oracle: reachability by dynamic programming, one pass per generator."""
+    reach = bytearray(bound + 1)
+    reach[0] = 1
+    for g in generators:
+        for v in range(g, bound + 1):
+            if reach[v - g]:
+                reach[v] = 1
+    return reach
+
+
+def nu_scan(sg, index):
+    """Oracle: count the nongaps h <= rho_index whose complement is a nongap."""
+    rho = sg.nth_nongap(index)
+    return sum(1 for h in sg.nongaps_upto(rho) if sg.contains(rho - h))
+
+
+def scan_oracles(sg):
+    """(nu, d_ord) oracles for one semigroup; each nu value is scanned once."""
+    g = sg.genus
+    tail = 3 * g if g else 1
+    nu_at = cache(lambda m: nu_scan(sg, m))
+
+    def d_ord_at(index):
+        if index >= tail:
+            return index - g if g else nu_at(index)
+        return min(nu_at(m) for m in range(index, tail + 1))
+
+    return nu_at, d_ord_at
+
+
+def table_scan(sg, params, l_min, l_max):
+    """Oracle: table rows from scanned nu values and their suffix minima."""
+    length = params.rational_point_count - 1
+    g = sg.genus
+    top = max(3 * g, l_max)
+    nus = [m - g if g and m >= 3 * g else nu_scan(sg, m) for m in range(l_min, top + 1)]
+    suffix_min = nus[:]
+    for i in range(len(suffix_min) - 2, -1, -1):
+        suffix_min[i] = min(suffix_min[i], suffix_min[i + 1])
+    return [
+        CodeTableRow(length, l, length - l, sg.nth_nongap(l), nus[l - l_min], suffix_min[l - l_min])
+        for l in range(l_min, l_max + 1)
+    ]
+
+
+def assert_profile_matches_scan(sg, extra=20):
+    nu_at, d_ord_at = scan_oracles(sg)
+    for l in range(1, 3 * sg.genus + extra + 1):
+        assert nu(sg, l) == nu_at(l), (sg.generators, l)
+        assert d_ord(sg, l) == d_ord_at(l), (sg.generators, l)
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+@pytest.mark.parametrize("qn", [(2, 3), (2, 5), (3, 3), (2, 7), (4, 3)])
+def test_profile_matches_scan_on_orbit_semigroups(qn, orbit):
+    assert_profile_matches_scan(orbit_semigroup(curve_params(*qn), orbit))
+
+
+generator_sets = st.lists(st.integers(1, 30), min_size=1, max_size=4).filter(
+    lambda gens: gcd(*gens) == 1
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets)
+def test_profile_matches_scan_on_small_semigroups(gens):
+    assert_profile_matches_scan(NumericalSemigroup.from_generators(gens))
+
+
+def test_profile_of_the_naturals():
+    sg = NumericalSemigroup.from_generators({1})
+    assert [nu(sg, l) for l in range(1, 6)] == [1, 2, 3, 4, 5]
+    assert [d_ord(sg, l) for l in range(1, 6)] == [1, 2, 3, 4, 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=5), st.integers(0, 300))
+def test_bitset_closure_matches_dp(gens, bound):
+    gens = tuple(sorted(set(gens)))
+    assert closure_table(gens, bound) == closure_table_dp(gens, bound)
+
+
+def test_bitset_closure_on_orbit_generators():
+    params = curve_params(3, 5)
+    for gens in (o1_generators(params), o2_generators(params)):
+        bound = 2 * params.genus + gens[0] + 1
+        assert closure_table(gens, bound) == closure_table_dp(gens, bound)
+
+
+def test_table_matches_scan_on_q3_n5_o1():
+    params = curve_params(3, 5)
+    sg = orbit_semigroup(params, "O1")
+    l_max = 3 * params.genus
+    assert table(sg, params, 1, l_max) == table_scan(sg, params, 1, l_max)
+    assert table(sg, params, 2800, l_max + 40) == table_scan(sg, params, 2800, l_max + 40)
+
+
+def test_profile_is_built_lazily_once_per_instance():
+    sg = NumericalSemigroup.from_generators((22, 24, 26, 28, 30, 32, 33))
+    assert "_feng_rao_profile" not in vars(sg)
+    first = nu(sg, 10)
+    profile = vars(sg)["_feng_rao_profile"]
+    d_ord(sg, 10)
+    table(sg, curve_params(2, 5), 1, 20)
+    assert vars(sg)["_feng_rao_profile"] is profile
+    assert nu(sg, 10) == first
+
+
+def test_index_below_one_rejected():
+    sg = NumericalSemigroup.from_generators((2, 3))
+    for fn in (nu, d_ord):
+        with pytest.raises(ValueError):
+            fn(sg, 0)
