@@ -250,6 +250,9 @@ def _cmd_code_matrix(args):
     params = curve_params(args.q, args.n)
     if args.l < 1:
         raise UsageError(f"--l must be >= 1, got {args.l}")
+    n_support = params.rational_point_count - 1
+    if args.l > n_support:
+        raise UsageError(f"--l must be <= N = {n_support} (the code length), got {args.l}")
     ctx = curve_mod.field_context(params)
     matrix = curve_mod.code_matrix(params, ctx, args.orbit, args.l)
     buf = io.StringIO()

@@ -1,13 +1,22 @@
 """Rational points of the curve family and explicit evaluation codes.
 
 The affine model is y^{q+1} = x^{q+1} - 1, z^m = y (x^{q^2} - x)/(x^{q+1} - 1)
-over F_{q^{2n}}.  Enumeration walks x through the field: the q+1 values with
-x^{q+1} = 1 resolve to a single smooth-model point (x, 0, 0) each (the fiber
-formula degenerates to 0/0 there, and the divisor of z forces z = 0); every
-other x contributes its y-fiber and z-fiber through explicit root extraction.
-The q+1 points at infinity carry a (q+1)-st root of unity as coordinate.
-The total must reproduce the maximality count q^{2n} + 1 + 2 g q^n, which is
-asserted, as are the two orbit sizes q+1 and q^3 - q.
+over F_{q^{2n}}.  One walk, `_fibers`, serves enumeration and the census: it
+runs x through the field and yields one (x, y, w) per affine y-fiber, w the
+right-hand side of the z-equation.  The q+1 values with x^{q+1} = 1 give a
+single smooth-model point (x, 0, 0) each (the fiber formula degenerates to
+0/0 there, and the divisor of z forces z = 0), yielded as w = 0.  Enumeration
+expands each fiber into its m-th roots z; the census counts one point where
+w = 0 and m points where w is a nonzero m-th power.  The q+1 points at
+infinity carry a (q+1)-st root of unity as coordinate.
+
+An affine point lies in the orbit O2 (all coordinates in F_{q^2}) exactly
+when w = 0.  Off the ramified x, y^{q+1} = x^{q+1} - 1 != 0, so w = 0 iff
+x^{q^2} = x; then y^{q+1} lies in F_q^*, so y^{q^2-1} = 1, and z = 0.  If
+w != 0 then x is outside F_{q^2}.  `classify_point` keeps the definitional
+coordinate test as an independent check of these tags.  The total must
+reproduce the maximality count q^{2n} + 1 + 2 g q^n, which is asserted, as
+are the two orbit sizes q+1 and q^3 - q.
 
 Code matrices evaluate a pole-order basis of the one-point Riemann-Roch
 space at all rational points except the distinguished one, in a fixed order
@@ -44,12 +53,6 @@ class CurvePoint:
             return (0, self.x, self.y, self.z)
         return (1, self.a)
 
-    def same_place(self, other: "CurvePoint") -> bool:
-        """Coordinate equality, ignoring the orbit tag."""
-        return self.kind == other.kind and (
-            (self.x, self.y, self.z, self.a) == (other.x, other.y, other.z, other.a)
-        )
-
 
 @dataclass(frozen=True)
 class PointCensus:
@@ -71,35 +74,30 @@ def small_field_elements(params: CurveParams, ctx: GfContext) -> frozenset[int]:
     return frozenset(ctx.subfield_elements(2 * e))
 
 
-def _fiber_w(params: CurveParams, ctx: GfContext, x: int, y: int, denom: int) -> int:
-    """Right-hand side of the z-equation at (x, y), denom = x^{q+1} - 1 != 0."""
+def _fibers(params: CurveParams, ctx: GfContext):
+    """Yield (x, y, w) per affine y-fiber in serialized order; w = 0 iff O2."""
     q = params.q
-    num = ctx.mul(y, ctx.sub(ctx.pow(x, q * q), x))
-    return ctx.div(num, denom)
-
-
-def iter_points(params: CurveParams, ctx: GfContext):
-    """Yield all rational points in the normative order."""
-    q = params.q
-    m = params.m
-    small = small_field_elements(params, ctx)
     one = ctx.one
     for x in range(ctx.order):
         xq1 = ctx.pow(x, q + 1)
         if xq1 == one:
             # totally ramified fiber: the single resolved point (x, 0, 0)
-            yield CurvePoint(kind="affine", x=x, y=0, z=0, orbit=ORBIT_SMALL_AFFINE)
+            yield x, 0, 0
             continue
         denom = ctx.sub(xq1, one)
-        for y in ctx.nth_roots(denom, q + 1):
-            w = _fiber_w(params, ctx, x, y, denom)
-            for z in ctx.nth_roots(w, m):
-                if x in small and y in small and z in small:
-                    orbit = ORBIT_SMALL_AFFINE
-                else:
-                    orbit = ORBIT_GENERIC
-                yield CurvePoint(kind="affine", x=x, y=y, z=z, orbit=orbit)
-    for a in ctx.nth_roots(one, q + 1):
+        ys = ctx.nth_roots(denom, q + 1)  # empty for about q/(q+1) of all x
+        frob = ctx.sub(ctx.pow(x, q * q), x) if ys else 0
+        for y in ys:
+            yield x, y, ctx.div(ctx.mul(y, frob), denom)
+
+
+def iter_points(params: CurveParams, ctx: GfContext):
+    """Yield all rational points in the normative order."""
+    for x, y, w in _fibers(params, ctx):
+        orbit = ORBIT_SMALL_AFFINE if w == 0 else ORBIT_GENERIC
+        for z in ctx.nth_roots(w, params.m):
+            yield CurvePoint(kind="affine", x=x, y=y, z=z, orbit=orbit)
+    for a in ctx.nth_roots(ctx.one, params.q + 1):
         yield CurvePoint(kind="infinity", a=a, orbit=ORBIT_INFINITE)
 
 
@@ -135,32 +133,15 @@ def _check_census(params: CurveParams, census: PointCensus):
 
 def census(params: CurveParams, ctx: GfContext) -> PointCensus:
     """Point and orbit counts without materializing the point list."""
-    q = params.q
     m = params.m
-    small = small_field_elements(params, ctx)
-    n1 = ctx.order - 1
-    total = o2 = generic = 0
-    for x in range(ctx.order):
-        xq1 = ctx.pow(x, q + 1)
-        if xq1 == ctx.one:
-            total += 1
+    o2 = generic = 0
+    for _, _, w in _fibers(params, ctx):
+        if w == 0:
             o2 += 1
-            continue
-        denom = ctx.sub(xq1, ctx.one)
-        for y in ctx.nth_roots(denom, q + 1):
-            w = _fiber_w(params, ctx, x, y, denom)
-            if w == 0:
-                total += 1
-                if x in small and y in small:
-                    o2 += 1
-                else:
-                    generic += 1
-            elif ctx.log(w) % m == 0:  # m divides q^{2n}-1, so gcd(m, n1) = m
-                total += m
-                generic += m
-    o1 = len(ctx.nth_roots(ctx.one, q + 1))
-    total += o1
-    result = PointCensus(total=total, o1=o1, o2=o2, generic=generic)
+        elif ctx.log(w) % m == 0:  # m divides q^{2n}-1: w has m roots or none
+            generic += m
+    o1 = len(ctx.nth_roots(ctx.one, params.q + 1))
+    result = PointCensus(total=o1 + o2 + generic, o1=o1, o2=o2, generic=generic)
     _check_census(params, result)
     return result
 
@@ -286,7 +267,7 @@ def eval_basis(
     main_exps = fn.exponents[:-1]
     extra_exp = fn.exponents[-1]
 
-    if point.same_place(base):
+    if point.sort_key() == base.sort_key():
         if fn.pole_order > 0:
             raise PoleEvaluationError(
                 f"function with pole order {fn.pole_order} evaluated at its pole"
@@ -331,8 +312,8 @@ def eval_basis(
 
 def evaluation_points(params: CurveParams, ctx: GfContext, orbit: str) -> list[CurvePoint]:
     """All rational points except the distinguished one, in normative order."""
-    base = distinguished_point(params, ctx, orbit)
-    return [p for p in enumerate_points(params, ctx) if not p.same_place(base)]
+    base = distinguished_point(params, ctx, orbit).sort_key()
+    return [p for p in enumerate_points(params, ctx) if p.sort_key() != base]
 
 
 def code_matrix(

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
+import pytest
 
 from gk2codes.cli import main
 
@@ -115,6 +118,56 @@ def test_code_matrix_output(tmp_path, capsys):
     assert lines[0] == "N=224 L=2 p=2 deg=6"
     assert len(lines) == 3
     assert all(v == "1" for v in lines[1].split(" "))
+
+
+# sha256 of the code-matrix stdout; the point order and the field encoding
+# are normative (README, "Matrix file format"), so these bytes are frozen.
+MATRIX_SHA256 = {
+    (2, 3, "O1", 30): "1795e57ef69fa9747460f02e6c1e7e570fa3d12163fdce4f804aace5a99991d5",
+    (2, 3, "O2", 30): "6d34186524824af8f2b554ea5a06ed7c8de762273c4ed7534d15f35f60faa155",
+    (3, 3, "O2", 10): "a297312fe1ecf0ee48a6da4b4b0e948f1edda97986c5b8e6fdb3448e000ff80e",
+}
+
+
+@pytest.mark.parametrize("q,n,orbit,l", sorted(MATRIX_SHA256))
+def test_code_matrix_golden_bytes(capsys, q, n, orbit, l):
+    code, out, _ = run_cli(
+        capsys, "code-matrix", "--q", str(q), "--n", str(n), "--orbit", orbit, "--l", str(l)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SHA256[q, n, orbit, l]
+
+
+@pytest.mark.parametrize("l", ["225", "100000"])
+def test_code_matrix_rows_beyond_code_length_rejected_fast(l):
+    # N = 224 at (2, 3); the bound is checked before the field is built
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "gk2codes.cli", "code-matrix", "--q", "2", "--n", "3",
+         "--orbit", "O1", "--l", l],
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    assert out.stdout == ""
+
+
+def test_cli_imports_only_the_standard_library():
+    # site hooks may preload third-party modules, so only new imports count
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gk2codes.cli\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(n for n in new\n"
+        "                      if n not in sys.stdlib_module_names and n != 'gk2codes')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
 
 
 def test_verify_exit_codes(capsys):

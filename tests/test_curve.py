@@ -1,9 +1,17 @@
+"""Rational points, pole bases and code matrices.
+
+The point walk is checked against its former implementation, kept here as an
+oracle: enumeration and census each walked x -> y-fiber -> z-fiber on their
+own and tagged O2 by testing every coordinate for membership in F_{q^2}.
+"""
+
 import io
 
 import pytest
 
 from gk2codes.curve import (
     CurvePoint,
+    PointCensus,
     build_basis,
     census,
     classify_point,
@@ -15,6 +23,7 @@ from gk2codes.curve import (
     field_context,
     generator_pole_orders,
     min_weight_exhaustive,
+    small_field_elements,
     write_matrix,
 )
 from gk2codes.errors import PoleEvaluationError
@@ -55,6 +64,76 @@ def test_census_agrees_with_enumeration(p23, ctx23, points23):
     p33 = curve_params(3, 3)
     ctx33 = field_context(p33)
     assert census(p33, ctx33).total == len(enumerate_points(p33, ctx33))
+
+
+def _fiber_w_oracle(ctx, q, x, y, denom):
+    return ctx.div(ctx.mul(y, ctx.sub(ctx.pow(x, q * q), x)), denom)
+
+
+def _iter_points_oracle(params, ctx):
+    """Oracle: the former enumeration walk with its coordinate-wise O2 test."""
+    q = params.q
+    m = params.m
+    small = small_field_elements(params, ctx)
+    one = ctx.one
+    for x in range(ctx.order):
+        xq1 = ctx.pow(x, q + 1)
+        if xq1 == one:
+            yield CurvePoint(kind="affine", x=x, y=0, z=0, orbit="O2")
+            continue
+        denom = ctx.sub(xq1, one)
+        for y in ctx.nth_roots(denom, q + 1):
+            w = _fiber_w_oracle(ctx, q, x, y, denom)
+            for z in ctx.nth_roots(w, m):
+                if x in small and y in small and z in small:
+                    orbit = "O2"
+                else:
+                    orbit = "generic"
+                yield CurvePoint(kind="affine", x=x, y=y, z=z, orbit=orbit)
+    for a in ctx.nth_roots(one, q + 1):
+        yield CurvePoint(kind="infinity", a=a, orbit="O1")
+
+
+def _census_oracle(params, ctx):
+    """Oracle: the former census walk, counting totals and orbits separately."""
+    q = params.q
+    m = params.m
+    small = small_field_elements(params, ctx)
+    total = o2 = generic = 0
+    for x in range(ctx.order):
+        xq1 = ctx.pow(x, q + 1)
+        if xq1 == ctx.one:
+            total += 1
+            o2 += 1
+            continue
+        denom = ctx.sub(xq1, ctx.one)
+        for y in ctx.nth_roots(denom, q + 1):
+            w = _fiber_w_oracle(ctx, q, x, y, denom)
+            if w == 0:
+                total += 1
+                if x in small and y in small:
+                    o2 += 1
+                else:
+                    generic += 1
+            elif ctx.log(w) % m == 0:
+                total += m
+                generic += m
+    o1 = len(ctx.nth_roots(ctx.one, q + 1))
+    return PointCensus(total=total + o1, o1=o1, o2=o2, generic=generic)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3)])
+def test_enumeration_matches_oracle(q, n):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    assert enumerate_points(params, ctx) == list(_iter_points_oracle(params, ctx))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (2, 7)])
+def test_census_matches_oracle(q, n):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    assert census(params, ctx) == _census_oracle(params, ctx)
 
 
 def test_points_satisfy_curve_equations(p23, ctx23, points23):

@@ -5,6 +5,33 @@ import pytest
 from gk2codes.gf import GfContext, make_field, matrix_rank, rank_profile
 
 
+def _gauss_jordan_rank(ctx, rows):
+    """Oracle: the former rank routine, full Gauss-Jordan with row swaps."""
+    work = [list(r) for r in rows]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv_p = ctx.inv(work[rank][col])
+        prow = work[rank]
+        if inv_p != 1:
+            work[rank] = prow = [ctx.mul(inv_p, v) for v in prow]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                row = work[r]
+                work[r] = [ctx.sub(v, ctx.mul(f, pv)) for v, pv in zip(row, prow)]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
 def test_prime_field():
     f = make_field(2, 1)
     assert f.order == 2
@@ -166,7 +193,7 @@ def test_rank_profile_matches_full_rank():
     rows.insert(2, [f.add(a, b) for a, b in zip(rows[0], rows[1])])
     prof = rank_profile(f, rows)
     assert prof == [1, 2, 2, 3, 4]
-    assert prof[-1] == matrix_rank(f, rows)
+    assert prof[-1] == _gauss_jordan_rank(f, rows)
     assert rank_profile(f, []) == []
 
 
@@ -178,3 +205,38 @@ def test_matrix_rank_odd_characteristic():
     assert matrix_rank(f, rows) == 5
     rows.append([f.add(a, b) for a, b in zip(rows[0], rows[3])])
     assert matrix_rank(f, rows) == 5
+
+
+def _random_rows(ctx, rng, nrows, ncols):
+    """Random rows mixed with zero rows, repeats and combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(4) if rows else rng.randrange(2)
+        if kind == 0:
+            row = [rng.randrange(ctx.order) for _ in range(ncols)]
+        elif kind == 1:
+            row = [0] * ncols
+        elif kind == 2:
+            row = list(rng.choice(rows))
+        else:
+            row = [0] * ncols
+            for prev in rng.sample(rows, rng.randint(1, len(rows))):
+                c = rng.randrange(ctx.order)
+                row = [ctx.add(v, ctx.mul(c, pv)) for v, pv in zip(row, prev)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p,deg", [(2, 6), (3, 2)])
+def test_rank_matches_gauss_jordan_oracle(p, deg):
+    f = make_field(p, deg)
+    rng = random.Random(p * 100 + deg)
+    shapes = [(r, c) for r in range(9) for c in range(1, 13)]  # tall and wide
+    for nrows, ncols in shapes * 3:
+        rows = _random_rows(f, rng, nrows, ncols)
+        snapshot = [list(r) for r in rows]
+        assert matrix_rank(f, rows) == _gauss_jordan_rank(f, rows)
+        assert rank_profile(f, rows) == [
+            _gauss_jordan_rank(f, rows[: i + 1]) for i in range(nrows)
+        ]
+        assert rows == snapshot
