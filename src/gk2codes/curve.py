@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InternalConsistencyError, NeedsLocalResolutionError, PoleEvaluationError
-from .gf import GfContext, make_field, matrix_rank
+from .gf import GfContext, make_field, rank_profile
 from .gk2 import CurveParams, o1_generators, orbit_semigroup, prime_power_decompose
 from .semigroup import NumericalSemigroup
 
@@ -242,7 +242,7 @@ def distinguished_point(params: CurveParams, ctx: GfContext, orbit: str) -> Curv
         roots = ctx.nth_roots(ctx.neg(ctx.one), params.q + 1)
         if not roots:
             raise InternalConsistencyError("no (q+1)-st root of -1 in the field")
-        a = min(roots, key=ctx.lex_key)
+        a = min(roots, key=ctx.coeffs)
         return CurvePoint(kind="affine", x=0, y=a, z=0, orbit=ORBIT_SMALL_AFFINE)
     raise ValueError(f"orbit must be 'O1' or 'O2', got {orbit!r}")
 
@@ -256,11 +256,12 @@ def eval_basis(
 ) -> int:
     """Value of a pole-basis monomial at a rational point.
 
-    At the distinguished point itself only the constant (pole order 0) is
-    defined; elsewhere the value follows from the coordinates, with the
-    values at infinite points fixed by the limits 1/(1 + a) for the O1
-    extra generator and 1/a for the O2 one (every other generator vanishes
-    there to positive order).
+    Both orbits share one formula: with the s+1 main exponents e_i and the
+    extra exponent e, the value is z^{sum i e_i} num^e / den^{sum e_i + e},
+    where (num, den) is (x - 1, x + y) for O1 and (x, y - a) for O2.  At an
+    infinite point every main generator vanishes to positive order and the
+    extra generator takes the limit 1/(1 + a) for O1 and 1/a for O2.  At the
+    distinguished point itself only the constant (pole order 0) is defined.
     """
     if base is None:
         base = distinguished_point(params, ctx, fn.orbit)
@@ -274,34 +275,23 @@ def eval_basis(
             )
         return ctx.one
 
-    if fn.orbit == ORBIT_INFINITE:
-        if point.kind == "infinity":
-            if any(main_exps):
-                return 0
-            return ctx.pow(ctx.inv(ctx.add(ctx.one, point.a)), extra_exp)
-        rho = ctx.add(point.x, point.y)
-        if rho == 0:
-            raise NeedsLocalResolutionError(
-                f"x + y vanishes at affine point ({point.x}, {point.y}, {point.z})"
-            )
-        z_pow = sum(i * e for i, e in enumerate(main_exps))
-        den_pow = sum(main_exps) + extra_exp
-        val = ctx.mul(ctx.pow(point.z, z_pow), ctx.pow(ctx.sub(point.x, ctx.one), extra_exp))
-        return ctx.mul(val, ctx.pow(ctx.inv(rho), den_pow))
-
-    # O2 functions
+    o1 = fn.orbit == ORBIT_INFINITE
     if point.kind == "infinity":
         if any(main_exps):
             return 0
-        return ctx.pow(ctx.inv(point.a), extra_exp)
-    den = ctx.sub(point.y, base.y)
+        limit = ctx.add(ctx.one, point.a) if o1 else point.a
+        return ctx.pow(ctx.inv(limit), extra_exp)
+    if o1:
+        num, den, name = ctx.sub(point.x, ctx.one), ctx.add(point.x, point.y), "x + y"
+    else:
+        num, den, name = point.x, ctx.sub(point.y, base.y), "y - a"
     if den == 0:
         raise NeedsLocalResolutionError(
-            f"y - a vanishes off the base point at ({point.x}, {point.y}, {point.z})"
+            f"{name} vanishes off the base point at ({point.x}, {point.y}, {point.z})"
         )
-    z_pow = sum(k * e for k, e in enumerate(main_exps))
+    z_pow = sum(i * e for i, e in enumerate(main_exps))
     den_pow = sum(main_exps) + extra_exp
-    val = ctx.mul(ctx.pow(point.z, z_pow), ctx.pow(point.x, extra_exp))
+    val = ctx.mul(ctx.pow(point.z, z_pow), ctx.pow(num, extra_exp))
     return ctx.mul(val, ctx.pow(ctx.inv(den), den_pow))
 
 
@@ -316,18 +306,16 @@ def evaluation_points(params: CurveParams, ctx: GfContext, orbit: str) -> list[C
     return [p for p in enumerate_points(params, ctx) if p.sort_key() != base]
 
 
-def code_matrix(
-    params: CurveParams,
-    ctx: GfContext,
-    orbit: str,
-    count: int,
-    points: list[CurvePoint] | None = None,
-    check_rank: bool = True,
-) -> list[list[int]]:
-    """count x N evaluation matrix of the pole basis at the support points."""
+def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> list[list[int]]:
+    """count x N evaluation matrix of the pole basis at the support points.
+
+    While the count-th pole order rho_count is below N, the first i rows
+    evaluate a basis of L(rho_i P) for every i, so the rank profile must be
+    1..count; one elimination checks it and a failure raises
+    InternalConsistencyError.
+    """
     base = distinguished_point(params, ctx, orbit)
-    if points is None:
-        points = evaluation_points(params, ctx, orbit)
+    points = evaluation_points(params, ctx, orbit)
     sg = orbit_semigroup(params, orbit)
     basis = build_basis(params, orbit, count, semigroup=sg)
     matrix = []
@@ -336,12 +324,12 @@ def code_matrix(
             matrix.append([eval_basis(params, ctx, fn, pt, base=base) for pt in points])
         except (PoleEvaluationError, NeedsLocalResolutionError) as exc:
             raise type(exc)(f"row for pole order {fn.pole_order}: {exc}") from exc
-    if check_rank and sg.nth_nongap(count) < len(points):
-        rank = matrix_rank(ctx, matrix)
-        if rank != count:
+    if sg.nth_nongap(count) < len(points):
+        profile = rank_profile(ctx, matrix)
+        if profile != list(range(1, count + 1)):
             raise InternalConsistencyError(
-                f"evaluation matrix rank {rank} != {count} for orbit {orbit}, "
-                f"q={params.q}, n={params.n}"
+                f"evaluation matrix rank profile {profile} != 1..{count} for orbit "
+                f"{orbit}, q={params.q}, n={params.n}"
             )
     return matrix
 

@@ -6,12 +6,15 @@ integer, in decimal, is the normative on-disk encoding.  The modulus is the
 lexicographically smallest irreducible monic polynomial of its degree
 (coefficients compared low-to-high), so any implementation can reproduce the
 tables.  Multiplication runs on exp/log tables for a verified primitive
-element; addition is XOR in characteristic 2 and digit arithmetic otherwise.
+element g.  Addition is XOR in characteristic 2.  In odd characteristic it
+runs on the same tables through Zech logarithms Z(k) = log(1 + g^k), so
+g^i + g^j = g^{i + Z(j - i)}, and negation is multiplication by
+-1 = g^{(order-1)/2}.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 MAX_FIELD_SIZE = 1 << 20
@@ -136,12 +139,12 @@ class GfContext:
     Immutable after construction; contexts are cached and safely shareable.
     """
 
-    __slots__ = ("p", "deg", "order", "modulus", "generator", "_exp", "_log", "_pw")
+    __slots__ = ("p", "deg", "order", "modulus", "generator", "_exp", "_log", "_zech", "_pw")
 
     def __init__(self, p: int, deg: int):
         if deg < 1:
             raise ValueError(f"deg must be >= 1, got {deg}")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"p must be prime, got {p}")
         if p**deg > MAX_FIELD_SIZE:
             raise ValueError(
@@ -171,10 +174,6 @@ class GfContext:
         if len(cs) > self.deg:
             raise ValueError(f"too many coefficients for degree {self.deg}")
         return sum((c % self.p) * self._pw[i] for i, c in enumerate(cs))
-
-    def lex_key(self, e: int) -> tuple[int, ...]:
-        """Sort key comparing coefficients low-to-high."""
-        return self.coeffs(e)
 
     def _check(self, e: int):
         if not 0 <= e < self.order:
@@ -220,6 +219,11 @@ class GfContext:
             raise AssertionError("generator order check failed while building tables")
         self._exp = exp
         self._log = log
+        # Z(k) = log(1 + g^k); adding 1 changes only digit 0, and log[0] = -1
+        # marks the k with g^k = -1.  Characteristic 2 adds by XOR instead.
+        self._zech = None if p == 2 else [
+            log[e - e % p + (e + 1) % p] for e in islice(exp, n)
+        ]
 
     # -- field operations ----------------------------------------------------
 
@@ -234,26 +238,16 @@ class GfContext:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
-        out = 0
-        for w in self._pw[: self.deg]:
-            da = a % p
-            db = b % p
-            a //= p
-            b //= p
-            out += ((da + db) % p) * w
-        return out
+        if a == 0 or b == 0:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative index wraps mod order - 1
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        p = self.p
-        out = 0
-        for w in self._pw[: self.deg]:
-            da = a % p
-            a //= p
-            out += ((-da) % p) * w
-        return out
+        return self._exp[self._log[a] + (self.order >> 1)]  # (order - 1)/2 for odd order
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -292,9 +286,6 @@ class GfContext:
     def exp(self, k: int) -> int:
         return self._exp[k % (self.order - 1)]
 
-    def minus_one(self) -> int:
-        return self.neg(1)
-
     # -- roots and subfields --------------------------------------------------
 
     def nth_roots(self, c: int, d: int) -> list[int]:
@@ -320,17 +311,6 @@ class GfContext:
         size = self.p**sub_deg - 1
         step = (self.order - 1) // size
         return sorted([0] + [self._exp[i * step] for i in range(size)])
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def make_field(p: int, deg: int) -> GfContext:

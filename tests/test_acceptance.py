@@ -16,7 +16,6 @@ import pytest
 from gk2codes.curve import (
     census,
     code_matrix,
-    evaluation_points,
     field_context,
     min_weight_exhaustive,
 )
@@ -210,8 +209,7 @@ def test_criterion_06_constructive_code_checks():
         ctx = field_context(params)
         n_cols = params.rational_point_count - 1
         for orbit in ("O1", "O2"):
-            pts = evaluation_points(params, ctx, orbit)
-            matrix = code_matrix(params, ctx, orbit, 30, points=pts, check_rank=False)
+            matrix = code_matrix(params, ctx, orbit, 30)
             # incremental echelon: each added row must contribute a new pivot
             echelon: list[list[int]] = []
             pivots: list[int] = []

@@ -125,6 +125,7 @@ def test_code_matrix_output(tmp_path, capsys):
 MATRIX_SHA256 = {
     (2, 3, "O1", 30): "1795e57ef69fa9747460f02e6c1e7e570fa3d12163fdce4f804aace5a99991d5",
     (2, 3, "O2", 30): "6d34186524824af8f2b554ea5a06ed7c8de762273c4ed7534d15f35f60faa155",
+    (3, 3, "O1", 16): "f6186443bc2e533d7a35ce108067674977993079fa7a4eae53f53fc672657719",
     (3, 3, "O2", 10): "a297312fe1ecf0ee48a6da4b4b0e948f1edda97986c5b8e6fdb3448e000ff80e",
 }
 

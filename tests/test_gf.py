@@ -32,6 +32,54 @@ def _gauss_jordan_rank(ctx, rows):
     return rank
 
 
+def _digit_add(ctx, a, b):
+    """Oracle: the former odd-characteristic addition, one base-p digit at a time."""
+    out = 0
+    for i in range(ctx.deg):
+        out += (a % ctx.p + b % ctx.p) % ctx.p * ctx.p**i
+        a //= ctx.p
+        b //= ctx.p
+    return out
+
+
+def _digit_neg(ctx, a):
+    """Oracle: the former odd-characteristic negation, one base-p digit at a time."""
+    out = 0
+    for i in range(ctx.deg):
+        out += (-(a % ctx.p)) % ctx.p * ctx.p**i
+        a //= ctx.p
+    return out
+
+
+def _check_against_digit_oracles(f, pairs):
+    for a, b in pairs:
+        assert f.add(a, b) == _digit_add(f, a, b), (a, b)
+        assert f.sub(a, b) == _digit_add(f, a, _digit_neg(f, b)), (a, b)
+    for a in {a for a, _ in pairs}:
+        assert f.neg(a) == _digit_neg(f, a), a
+
+
+@pytest.mark.parametrize("p,deg", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_zech_add_neg_match_digit_oracle_exhaustive(p, deg):
+    f = make_field(p, deg)
+    _check_against_digit_oracles(f, [(a, b) for a in range(f.order) for b in range(f.order)])
+
+
+@pytest.mark.parametrize("p,deg", [(3, 10), (5, 6)])
+def test_zech_add_neg_match_digit_oracle_random(p, deg):
+    f = make_field(p, deg)
+    rng = random.Random(p * 1000 + deg)
+    pairs = []
+    for _ in range(10_000):
+        a = rng.choice([0, rng.randrange(f.order)])
+        kind = rng.randrange(4)
+        b = 0 if kind == 0 else _digit_neg(f, a) if kind == 1 else rng.randrange(f.order)
+        pairs.append((a, b) if rng.randrange(2) else (b, a))
+    assert any(a == 0 for a, _ in pairs) and any(b == 0 for _, b in pairs)
+    assert any(a and _digit_add(f, a, b) == 0 for a, b in pairs)
+    _check_against_digit_oracles(f, pairs)
+
+
 def test_prime_field():
     f = make_field(2, 1)
     assert f.order == 2
@@ -45,8 +93,9 @@ def test_field_sizes_and_caching():
     assert make_field(2, 10) is f
     with pytest.raises(ValueError):
         GfContext(2, 21)
-    with pytest.raises(ValueError):
-        GfContext(4, 3)
+    for p in (0, 1, 4, -3):
+        with pytest.raises(ValueError):
+            GfContext(p, 3)
 
 
 def test_modulus_is_deterministic_smallest():
