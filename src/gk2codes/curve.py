@@ -1,13 +1,30 @@
 """Rational points of the curve family and explicit evaluation codes.
 
 The affine model is y^{q+1} = x^{q+1} - 1, z^m = y (x^{q^2} - x)/(x^{q+1} - 1)
-over F_{q^{2n}}.  One walk, `_fibers`, serves enumeration and the census: it
-runs x through the field and yields one (x, y, w) per affine y-fiber, w the
-right-hand side of the z-equation.  The q+1 values with x^{q+1} = 1 give a
-single smooth-model point (x, 0, 0) each (the fiber formula degenerates to
-0/0 there, and the divisor of z forces z = 0), yielded as w = 0.  Enumeration
-expands each fiber into its m-th roots z; the census counts one point where
-w = 0 and m points where w is a nonzero m-th power.  The q+1 points at
+over F_{q^{2n}}.  One walk, `_fibers`, serves enumeration and the census.  It
+runs on the field's exp/log tables; g is the generator, o = q^{2n} - 1 and
+s = o/(q+1).  x^{q+1} = u depends only on log x mod s, so the walk visits
+each (q+1)-st power u = g^{(q+1) j}, j < s, once, for the q+1 values
+x = g^{j + k s}, k = 0..q:
+
+- u = 1 (j = 0) gives the q+1 ramified x, each a single smooth-model point
+  (x, 0, 0) (the fiber formula degenerates to 0/0 there, and the divisor of z
+  forces z = 0).
+- Otherwise y^{q+1} = u - 1 has a root iff q+1 divides ld = log(u - 1), and
+  then the roots are y_i = g^{ly + i s}, ly = ld/(q+1), i = 0..q.
+- c = x^{q^2-1} = g^{(q^2-1) j} is the same for all q+1 x, as
+  (q^2-1) s = (q-1) o, and x^{q^2} - x = x (c - 1).  So w = 0 on the whole
+  fiber when c = 1, and otherwise log w = lw + i s at (x, y_i), with
+  lw = ly + log x + log(c - 1) - ld.
+- x = 0 has u - 1 = -1, whose log (0, or o/2 for odd q) q+1 divides, and w = 0.
+
+Subtracting 1 changes only the constant coefficient, so u - 1 and c - 1 are
+two digit operations on the serialized integer.  The walk yields one
+(x, ly, lw) per nonempty x-fiber.  Enumeration sorts these records by x and
+expands each into its y_i, sorted, and, where m divides lw + i s (m divides
+o), into the m-th roots z = g^{(lw + i s)/m + t o/m}, t < m, sorted.  The
+census counts one point per ramified x, q+1 per w = 0 fiber, and m per y_i
+with m | lw + i s, read from a table over lw mod m.  The q+1 points at
 infinity carry a (q+1)-st root of unity as coordinate.
 
 An affine point lies in the orbit O2 (all coordinates in F_{q^2}) exactly
@@ -75,29 +92,53 @@ def small_field_elements(params: CurveParams, ctx: GfContext) -> frozenset[int]:
 
 
 def _fibers(params: CurveParams, ctx: GfContext):
-    """Yield (x, y, w) per affine y-fiber in serialized order; w = 0 iff O2."""
-    q = params.q
-    one = ctx.one
-    for x in range(ctx.order):
-        xq1 = ctx.pow(x, q + 1)
-        if xq1 == one:
-            # totally ramified fiber: the single resolved point (x, 0, 0)
-            yield x, 0, 0
-            continue
-        denom = ctx.sub(xq1, one)
-        ys = ctx.nth_roots(denom, q + 1)  # empty for about q/(q+1) of all x
-        frob = ctx.sub(ctx.pow(x, q * q), x) if ys else 0
-        for y in ys:
-            yield x, y, ctx.div(ctx.mul(y, frob), denom)
+    """Yield (x, ly, lw) per nonempty affine x-fiber, grouped by x^{q+1}.
+
+    ly is None for the q+1 ramified x, whose fiber is the point (x, 0, 0).
+    Otherwise the fiber's y are g^(ly + i step), i = 0..q, with
+    step = (order - 1)/(q + 1), and lw is None where w = 0 on the whole fiber
+    (the O2 fibers), else log w = lw + i step at the i-th y.  The module
+    docstring derives the formulas.
+    """
+    q1, q2m1 = params.q + 1, params.q**2 - 1
+    p, n = ctx.p, ctx.order - 1
+    step = n // q1
+    exp, log = ctx._exp, ctx._log
+    yield 0, log[p - 1] // q1, None
+    for j in range(step):
+        u = exp[q1 * j]  # x^{q+1} for the q+1 values x = g^(j + k step)
+        if u == 1:
+            ly = lw = None
+        else:
+            ld = log[u - u % p + (u - 1) % p]  # subtracting 1 changes only digit 0
+            if ld % q1:
+                continue
+            ly = ld // q1
+            c = exp[q2m1 * j % n]  # x^{q^2-1}
+            lw = None if c == 1 else ly + j + log[c - c % p + (c - 1) % p] - ld
+        for k in range(q1):
+            yield exp[j + k * step], ly, None if lw is None else (lw + k * step) % n
 
 
 def iter_points(params: CurveParams, ctx: GfContext):
     """Yield all rational points in the normative order."""
-    for x, y, w in _fibers(params, ctx):
-        orbit = ORBIT_SMALL_AFFINE if w == 0 else ORBIT_GENERIC
-        for z in ctx.nth_roots(w, params.m):
-            yield CurvePoint(kind="affine", x=x, y=y, z=z, orbit=orbit)
-    for a in ctx.nth_roots(ctx.one, params.q + 1):
+    q1, m = params.q + 1, params.m
+    n = ctx.order - 1
+    exp = ctx._exp
+    ystep, zstep = n // q1, n // m
+    for x, ly, lw in sorted(_fibers(params, ctx)):
+        if ly is None:
+            yield CurvePoint(kind="affine", x=x, y=0, z=0, orbit=ORBIT_SMALL_AFFINE)
+            continue
+        for y, i in sorted((exp[ly + i * ystep], i) for i in range(q1)):
+            if lw is None:
+                yield CurvePoint(kind="affine", x=x, y=y, z=0, orbit=ORBIT_SMALL_AFFINE)
+                continue
+            l = (lw + i * ystep) % n
+            if l % m == 0:  # m | order - 1: w has m roots or none
+                for z in sorted(exp[l // m + t * zstep] for t in range(m)):
+                    yield CurvePoint(kind="affine", x=x, y=y, z=z, orbit=ORBIT_GENERIC)
+    for a in ctx.nth_roots(ctx.one, q1):
         yield CurvePoint(kind="infinity", a=a, orbit=ORBIT_INFINITE)
 
 
@@ -133,15 +174,18 @@ def _check_census(params: CurveParams, census: PointCensus):
 
 def census(params: CurveParams, ctx: GfContext) -> PointCensus:
     """Point and orbit counts without materializing the point list."""
-    m = params.m
+    q1, m = params.q + 1, params.m
+    step = (ctx.order - 1) // q1
+    # hits[r]: how many of r, r + step, ..., r + q step m divides (m | order - 1)
+    hits = [sum((r + k * step) % m == 0 for k in range(q1)) for r in range(m)]
     o2 = generic = 0
-    for _, _, w in _fibers(params, ctx):
-        if w == 0:
-            o2 += 1
-        elif ctx.log(w) % m == 0:  # m divides q^{2n}-1: w has m roots or none
-            generic += m
-    o1 = len(ctx.nth_roots(ctx.one, params.q + 1))
-    result = PointCensus(total=o1 + o2 + generic, o1=o1, o2=o2, generic=generic)
+    for _, ly, lw in _fibers(params, ctx):
+        if lw is not None:
+            generic += hits[lw % m]
+        else:
+            o2 += 1 if ly is None else q1
+    o1 = len(ctx.nth_roots(ctx.one, q1))
+    result = PointCensus(total=o1 + o2 + m * generic, o1=o1, o2=o2, generic=m * generic)
     _check_census(params, result)
     return result
 
@@ -247,6 +291,13 @@ def distinguished_point(params: CurveParams, ctx: GfContext, orbit: str) -> Curv
     raise ValueError(f"orbit must be 'O1' or 'O2', got {orbit!r}")
 
 
+def _num_den(ctx: GfContext, orbit: str, point: CurvePoint, base: CurvePoint):
+    """(num, den) of the orbit's extra generator at an affine point."""
+    if orbit == ORBIT_INFINITE:
+        return ctx.sub(point.x, ctx.one), ctx.add(point.x, point.y)
+    return point.x, ctx.sub(point.y, base.y)
+
+
 def eval_basis(
     params: CurveParams,
     ctx: GfContext,
@@ -281,13 +332,11 @@ def eval_basis(
             return 0
         limit = ctx.add(ctx.one, point.a) if o1 else point.a
         return ctx.pow(ctx.inv(limit), extra_exp)
-    if o1:
-        num, den, name = ctx.sub(point.x, ctx.one), ctx.add(point.x, point.y), "x + y"
-    else:
-        num, den, name = point.x, ctx.sub(point.y, base.y), "y - a"
+    num, den = _num_den(ctx, fn.orbit, point, base)
     if den == 0:
         raise NeedsLocalResolutionError(
-            f"{name} vanishes off the base point at ({point.x}, {point.y}, {point.z})"
+            f"{'x + y' if o1 else 'y - a'} vanishes off the base point at "
+            f"({point.x}, {point.y}, {point.z})"
         )
     z_pow = sum(i * e for i, e in enumerate(main_exps))
     den_pow = sum(main_exps) + extra_exp
@@ -309,29 +358,80 @@ def evaluation_points(params: CurveParams, ctx: GfContext, orbit: str) -> list[C
 def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> list[list[int]]:
     """count x N evaluation matrix of the pole basis at the support points.
 
+    Entries are computed in the log domain: at an affine point with z, num
+    and den nonzero the value z^a num^e / den^d of `eval_basis` is
+    g^(a log z + e log num - d log den), g the field's generator, so each
+    point contributes its three logs once and each basis function its three
+    exponents once.  Entries at the infinite points and where z, num or den
+    is 0 come from `eval_basis`.
+
     While the count-th pole order rho_count is below N, the first i rows
     evaluate a basis of L(rho_i P) for every i, so the rank profile must be
-    1..count; one elimination checks it and a failure raises
-    InternalConsistencyError.
+    1..count, else InternalConsistencyError.  The check runs on the leading
+    K = 2 count, 4 count, ... columns and stops at the first K whose profile
+    is 1..count, or at K >= N.  That is exact: the rank of the leading i rows
+    restricted to K columns is at most their full rank, which is at most i,
+    so a prefix with profile 1..count proves the full profile, and a failing
+    matrix fails at every K, including K >= N, the full-width check.
     """
+    from sys import byteorder
+
     base = distinguished_point(params, ctx, orbit)
     points = evaluation_points(params, ctx, orbit)
     sg = orbit_semigroup(params, orbit)
     basis = build_basis(params, orbit, count, semigroup=sg)
+    exp, log = ctx._exp, ctx._log
+    n = ctx.order - 1
+    # the points' log z, log num and -log den in 8-byte slots of one integer
+    # each, so a row's exponents are one integer combination; with the row's
+    # coefficients reduced mod n every slot stays below 3 n^2 < 2^64
+    width = 8 * len(points)
+    slots = [memoryview(bytearray(width)).cast("Q") for _ in range(3)]
+    special = []
+    for j, pt in enumerate(points):
+        z = pt.z or 0  # None at the infinite points
+        num, den = _num_den(ctx, orbit, pt, base) if z else (0, 0)
+        if not (num and den):
+            special.append(j)  # entries from eval_basis
+            continue
+        slots[0][j], slots[1][j], slots[2][j] = log[z], log[num], n - log[den]
+    log_z, log_num, log_den_inv = (int.from_bytes(s, byteorder) for s in slots)
     matrix = []
     for fn in basis:
+        main, e = fn.exponents[:-1], fn.exponents[-1]
+        a, d = sum(i * ei for i, ei in enumerate(main)), sum(main) + e
+        combo = a % n * log_z + e % n * log_num + d % n * log_den_inv
+        row = [exp[v % n] for v in memoryview(combo.to_bytes(width, byteorder)).cast("Q")]
         try:
-            matrix.append([eval_basis(params, ctx, fn, pt, base=base) for pt in points])
+            for j in special:
+                row[j] = eval_basis(params, ctx, fn, points[j], base=base)
         except (PoleEvaluationError, NeedsLocalResolutionError) as exc:
             raise type(exc)(f"row for pole order {fn.pole_order}: {exc}") from exc
+        matrix.append(row)
     if sg.nth_nongap(count) < len(points):
-        profile = rank_profile(ctx, matrix)
+        profile = _prefix_rank_profile(ctx, matrix)
         if profile != list(range(1, count + 1)):
             raise InternalConsistencyError(
                 f"evaluation matrix rank profile {profile} != 1..{count} for orbit "
                 f"{orbit}, q={params.q}, n={params.n}"
             )
     return matrix
+
+
+def _prefix_rank_profile(ctx: GfContext, rows: list[list[int]]) -> list[int]:
+    """rank_profile(ctx, rows), read off the fewest leading columns that prove it.
+
+    Tries K = 2 len(rows), 4 len(rows), ... leading columns and returns the
+    first profile that is 1..len(rows); otherwise the full-width profile.
+    """
+    full = list(range(1, len(rows) + 1))
+    ncols = len(rows[0]) if rows else 0
+    k = 2 * len(rows)
+    while True:
+        profile = rank_profile(ctx, [row[:k] for row in rows])
+        if profile == full or k >= ncols:
+            return profile
+        k *= 2
 
 
 def write_matrix(stream, ctx: GfContext, matrix: list[list[int]]) -> None:

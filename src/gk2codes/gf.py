@@ -10,6 +10,17 @@ element g.  Addition is XOR in characteristic 2.  In odd characteristic it
 runs on the same tables through Zech logarithms Z(k) = log(1 + g^k), so
 g^i + g^j = g^{i + Z(j - i)}, and negation is multiplication by
 -1 = g^{(order-1)/2}.
+
+The exp table is one walk v -> g v.  Multiplying by g is F_p-linear, so g v
+is the digit-wise sum mod p of the images of v's low and high halves of
+base-p digits, each read from a table of the images of every half value.
+In characteristic 2 the sum is the XOR of two lookups.  In odd
+characteristic the images are stored in packed b-bit slots, one per digit,
+so one integer addition sums both halves digit by digit, and three lookups
+of a few slots each reduce the slots mod p back to the serialized integer.
+Every table has at most 4096 entries for the even-degree fields of the
+curve layer.  The curve layer reads `_exp` and `_log` directly for its
+log-domain point walk and code-matrix rows.
 """
 
 from __future__ import annotations
@@ -133,6 +144,24 @@ def _smallest_irreducible(p: int, deg: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {deg} over F_{p}")
 
 
+def _chunk_images(images, p, weights):
+    """Entry u: sum_k u_k images[k] mod p over the base-p digits u_k of u,
+    coefficient i weighted by weights[i] (p^i serializes, 2^(b i) packs)."""
+    vecs = [[0] * len(weights)]
+    for img in reversed(images):  # the highest digit varies slowest
+        vecs = [[(a + d * b) % p for a, b in zip(v, img)] for v in vecs for d in range(p)]
+    return [sum(x * w for x, w in zip(v, weights)) for v in vecs]
+
+
+def _slot_reducer(p, b, count):
+    """Entry s: the `count` b-bit slots of s, each reduced mod p, as the
+    base-p digits of an integer below p^count."""
+    table = [0]
+    for _ in range(count):  # the next slot enters as the lowest digit
+        table = [x * p + d % p for x in table for d in range(1 << b)]
+    return table
+
+
 class GfContext:
     """Arithmetic context for F_{p^deg}; build through make_field().
 
@@ -202,20 +231,50 @@ class GfContext:
         raise AssertionError(f"no generator found for F_{self.p}^{self.deg}")
 
     def _build_tables(self):
+        # g v is the digit-wise sum mod p of g (v % P) and g (v // P) P, the
+        # images of v's low c and high deg - c base-p digits
         n = self.order - 1
+        p, deg = self.p, self.deg
+        c = (deg + 1) // 2
+        P = p**c
+        mod = list(self.modulus)
+        gp = self._poly_of(self.generator)
+        images = []
+        for k in range(deg):  # coefficient vectors of g * t^k
+            img = _poly_modred([0] * k + gp, mod, p)
+            images.append(img + [0] * (deg - len(img)))
         exp = [0] * (2 * n)
         log = [-1] * self.order
-        mod = list(self.modulus)
-        p = self.p
-        gp = self._poly_of(self.generator)
-        cur = [1]
-        for i in range(n):
-            v = self._int_of(cur)
-            exp[i] = v
-            exp[i + n] = v
-            log[v] = i
-            cur = _poly_mulmod(cur, gp, mod, p)
-        if self._int_of(cur) != 1:
+        v = 1
+        if p == 2:  # packed = serialized, and the digit-wise sum is XOR
+            t0 = _chunk_images(images[:c], p, self._pw[:deg])
+            t1 = _chunk_images(images[c:], p, self._pw[:deg])
+            for i in range(n):
+                exp[i] = exp[i + n] = v
+                log[v] = i
+                v = t0[v & (P - 1)] ^ t1[v >> c]
+        else:
+            # images in b-bit slots wide enough for the sum of two digits (of
+            # one when deg = 1 leaves the high half empty); three lookups of
+            # k0, k1 and deg - k0 - k1 slots reduce the sum mod p
+            b = (min(2, deg) * (p - 1)).bit_length()
+            slots = [1 << (b * i) for i in range(deg)]
+            t0 = _chunk_images(images[:c], p, slots)
+            t1 = _chunk_images(images[c:], p, slots)
+            k0 = -(-deg // 3)
+            k1 = -(-(deg - k0) // 2)
+            r0 = _slot_reducer(p, b, k0)
+            r1 = _slot_reducer(p, b, k1)
+            r2 = _slot_reducer(p, b, deg - k0 - k1)
+            m0, m1 = (1 << (b * k0)) - 1, (1 << (b * k1)) - 1
+            s1, s2 = b * k0, b * (k0 + k1)
+            p1, p2 = p**k0, p ** (k0 + k1)
+            for i in range(n):
+                exp[i] = exp[i + n] = v
+                log[v] = i
+                s = t0[v % P] + t1[v // P]
+                v = r0[s & m0] + r1[(s >> s1) & m1] * p1 + r2[s >> s2] * p2
+        if v != 1:
             raise AssertionError("generator order check failed while building tables")
         self._exp = exp
         self._log = log

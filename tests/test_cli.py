@@ -33,6 +33,14 @@ def test_points_deterministic_bytes(capsys):
     assert len(outs) == 1
 
 
+def test_points_at_the_field_cap_golden_bytes(capsys):
+    # (4, 5) is over F_{2^20}, the largest field the table arithmetic builds
+    code, out, _ = run_cli(capsys, "points", "--q", "4", "--n", "5")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "05520c2356d1571abe1fc84fa35409f1f681a930e552e218f19ea6c3a2ab0a2c")
+
+
 def test_frobenius_json(capsys):
     code, out, _ = run_cli(capsys, "frobenius", "--q", "2", "--n", "5")
     assert code == 0
@@ -127,6 +135,8 @@ MATRIX_SHA256 = {
     (2, 3, "O2", 30): "6d34186524824af8f2b554ea5a06ed7c8de762273c4ed7534d15f35f60faa155",
     (3, 3, "O1", 16): "f6186443bc2e533d7a35ce108067674977993079fa7a4eae53f53fc672657719",
     (3, 3, "O2", 10): "a297312fe1ecf0ee48a6da4b4b0e948f1edda97986c5b8e6fdb3448e000ff80e",
+    # N = 65 024 columns over F_{2^14}
+    (2, 7, "O1", 30): "30d70000771d63ac65818c6485e785548e98fa5d3194c4f70d5f87efd70c71aa",
 }
 
 

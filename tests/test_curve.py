@@ -1,16 +1,21 @@
 """Rational points, pole bases and code matrices.
 
-The point walk is checked against its former implementation, kept here as an
-oracle: enumeration and census each walked x -> y-fiber -> z-fiber on their
-own and tagged O2 by testing every coordinate for membership in F_{q^2}.
-Basis evaluation is checked the same way against its former form, one
-branch per orbit.
+The point walk is checked against two former implementations, kept here as
+oracles: the first walked x -> y-fiber -> z-fiber separately for enumeration
+and census and tagged O2 by testing every coordinate for membership in
+F_{q^2}; the second was one per-x walk with field-method arithmetic that
+yielded one record per y.  Basis evaluation is checked the same way against
+its former form, one branch per orbit, and the log-domain code matrix and
+its column-prefix rank certificate against the per-entry matrix and the
+full-width rank profile.
 """
 
 import io
+import random
 
 import pytest
 
+from gk2codes import curve as curve_mod
 from gk2codes.curve import (
     CurvePoint,
     PointCensus,
@@ -28,8 +33,13 @@ from gk2codes.curve import (
     small_field_elements,
     write_matrix,
 )
-from gk2codes.errors import NeedsLocalResolutionError, PoleEvaluationError
-from gk2codes.gf import matrix_rank
+from gk2codes.curve import _prefix_rank_profile
+from gk2codes.errors import (
+    InternalConsistencyError,
+    NeedsLocalResolutionError,
+    PoleEvaluationError,
+)
+from gk2codes.gf import make_field, matrix_rank, rank_profile
 from gk2codes.gk2 import curve_params, orbit_semigroup
 
 
@@ -122,6 +132,57 @@ def _census_oracle(params, ctx):
                 generic += m
     o1 = len(ctx.nth_roots(ctx.one, q + 1))
     return PointCensus(total=total + o1, o1=o1, o2=o2, generic=generic)
+
+
+def _xy_fibers_oracle(params, ctx):
+    """Oracle: the former per-x walk, one (x, y, w) per y, in serialized x order."""
+    q = params.q
+    one = ctx.one
+    for x in range(ctx.order):
+        xq1 = ctx.pow(x, q + 1)
+        if xq1 == one:
+            yield x, 0, 0
+            continue
+        denom = ctx.sub(xq1, one)
+        ys = ctx.nth_roots(denom, q + 1)
+        frob = ctx.sub(ctx.pow(x, q * q), x) if ys else 0
+        for y in ys:
+            yield x, y, ctx.div(ctx.mul(y, frob), denom)
+
+
+def _xy_iter_points_oracle(params, ctx):
+    for x, y, w in _xy_fibers_oracle(params, ctx):
+        orbit = "O2" if w == 0 else "generic"
+        for z in ctx.nth_roots(w, params.m):
+            yield CurvePoint(kind="affine", x=x, y=y, z=z, orbit=orbit)
+    for a in ctx.nth_roots(ctx.one, params.q + 1):
+        yield CurvePoint(kind="infinity", a=a, orbit="O1")
+
+
+def _xy_census_oracle(params, ctx):
+    m = params.m
+    o2 = generic = 0
+    for _, _, w in _xy_fibers_oracle(params, ctx):
+        if w == 0:
+            o2 += 1
+        elif ctx.log(w) % m == 0:
+            generic += m
+    o1 = len(ctx.nth_roots(ctx.one, params.q + 1))
+    return PointCensus(total=o1 + o2 + generic, o1=o1, o2=o2, generic=generic)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (4, 3)])
+def test_log_walk_points_match_xy_oracle(q, n):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    assert enumerate_points(params, ctx) == list(_xy_iter_points_oracle(params, ctx))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (4, 3), (5, 3), (2, 7), (3, 5)])
+def test_log_walk_census_matches_xy_oracle(q, n):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    assert census(params, ctx) == _xy_census_oracle(params, ctx)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3)])
@@ -343,6 +404,66 @@ def test_rank_staircase_small(p23, ctx23):
             r = matrix_rank(ctx23, m)
             assert r == count == prev + 1
             prev = r
+
+
+def _per_entry_matrix_oracle(params, ctx, orbit, count):
+    """Oracle: the former code matrix, one eval_basis call per entry."""
+    base = distinguished_point(params, ctx, orbit)
+    points = evaluation_points(params, ctx, orbit)
+    return [
+        [eval_basis(params, ctx, fn, pt, base=base) for pt in points]
+        for fn in build_basis(params, orbit, count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "q,n,orbit,l",
+    [(2, 3, "O1", 30), (2, 3, "O2", 30), (3, 3, "O1", 16), (3, 3, "O2", 10),
+     (2, 5, "O2", 30), (4, 3, "O1", 10)],
+)
+def test_log_domain_matrix_matches_per_entry_oracle(q, n, orbit, l):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    m = code_matrix(params, ctx, orbit, l)
+    assert m == _per_entry_matrix_oracle(params, ctx, orbit, l)
+    assert _prefix_rank_profile(ctx, m) == rank_profile(ctx, m) == list(range(1, l + 1))
+
+
+@pytest.mark.parametrize("p,deg", [(2, 6), (3, 2)])
+def test_prefix_rank_profile_matches_full_width(p, deg):
+    ctx = make_field(p, deg)
+    rng = random.Random(p * 100 + deg)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 30)
+        rows = [[rng.randrange(ctx.order) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:  # a repeated row
+            rows[rng.randrange(1, nrows)] = list(rows[0])
+        assert _prefix_rank_profile(ctx, rows) == rank_profile(ctx, rows)
+
+
+def test_prefix_certificate_widens_past_zero_leading_columns():
+    # N = 4 count: the first 2 count columns are zero, so K widens to N, and
+    # only the last column carries the last row's pivot
+    ctx = make_field(3, 2)
+    count = 4
+    rows = [[0] * (3 * count) + [int(j == i) for j in range(count)] for i in range(count)]
+    assert _prefix_rank_profile(ctx, rows) == [1, 2, 3, 4]
+
+
+def test_code_matrix_dependent_row_raises(monkeypatch, p23, ctx23):
+    real = curve_mod.build_basis
+
+    def repeat_last(params, orbit, count, semigroup=None):
+        basis = real(params, orbit, count - 1, semigroup=semigroup)
+        return basis + basis[-1:]
+
+    monkeypatch.setattr(curve_mod, "build_basis", repeat_last)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"^evaluation matrix rank profile \[1, 2, 3, 3\] != 1\.\.4 for orbit O1, q=2, n=3$",
+    ):
+        code_matrix(p23, ctx23, "O1", 4)
 
 
 def test_min_weight_constant_code(p23, ctx23):

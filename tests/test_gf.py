@@ -1,8 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
 
-from gk2codes.gf import GfContext, make_field, matrix_rank, rank_profile
+from gk2codes.gf import GfContext, _poly_mulmod, make_field, matrix_rank, rank_profile
 
 
 def _gauss_jordan_rank(ctx, rows):
@@ -78,6 +79,34 @@ def test_zech_add_neg_match_digit_oracle_random(p, deg):
     assert any(a == 0 for a, _ in pairs) and any(b == 0 for _, b in pairs)
     assert any(a and _digit_add(f, a, b) == 0 for a, b in pairs)
     _check_against_digit_oracles(f, pairs)
+
+
+def _poly_exp_walk_oracle(ctx):
+    """Oracle: the former table build, one polynomial product by g per step."""
+    n = ctx.order - 1
+    exp = [0] * (2 * n)
+    log = [-1] * ctx.order
+    gp = ctx._poly_of(ctx.generator)
+    cur = [1]
+    for i in range(n):
+        v = ctx._int_of(cur)
+        exp[i] = exp[i + n] = v
+        log[v] = i
+        cur = _poly_mulmod(cur, gp, list(ctx.modulus), ctx.p)
+    assert ctx._int_of(cur) == 1
+    p = ctx.p
+    zech = None if p == 2 else [log[e - e % p + (e + 1) % p] for e in islice(exp, n)]
+    return exp, log, zech
+
+
+@pytest.mark.parametrize(
+    "p,deg",
+    [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 4096]
+    + [(2, 14), (3, 10), (5, 6)],
+)
+def test_exp_walk_matches_polynomial_oracle(p, deg):
+    f = GfContext(p, deg)
+    assert (f._exp, f._log, f._zech) == _poly_exp_walk_oracle(f)
 
 
 def test_prime_field():
