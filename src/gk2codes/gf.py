@@ -231,6 +231,17 @@ class GfContext:
         raise AssertionError(f"no generator found for F_{self.p}^{self.deg}")
 
     def _build_tables(self):
+        # a separate frame, so the walk's lookup tables are freed before the Zech pass
+        self._exp, self._log = self._exp_walk()
+        p, n, log = self.p, self.order - 1, self._log
+        # Z(k) = log(1 + g^k); adding 1 changes only digit 0, and log[0] = -1
+        # marks the k with g^k = -1.  Characteristic 2 adds by XOR instead.
+        self._zech = None if p == 2 else [
+            log[e - e % p + (e + 1) % p] for e in islice(self._exp, n)
+        ]
+
+    def _exp_walk(self):
+        """(exp, log) from the walk v -> g v, exp doubled to length 2(order-1)."""
         # g v is the digit-wise sum mod p of g (v % P) and g (v // P) P, the
         # images of v's low c and high deg - c base-p digits
         n = self.order - 1
@@ -276,13 +287,7 @@ class GfContext:
                 v = r0[s & m0] + r1[(s >> s1) & m1] * p1 + r2[s >> s2] * p2
         if v != 1:
             raise AssertionError("generator order check failed while building tables")
-        self._exp = exp
-        self._log = log
-        # Z(k) = log(1 + g^k); adding 1 changes only digit 0, and log[0] = -1
-        # marks the k with g^k = -1.  Characteristic 2 adds by XOR instead.
-        self._zech = None if p == 2 else [
-            log[e - e % p + (e + 1) % p] for e in islice(exp, n)
-        ]
+        return exp, log
 
     # -- field operations ----------------------------------------------------
 
