@@ -100,19 +100,74 @@ def _require_curve_scale(q: int):
 # -- renderers ---------------------------------------------------------------
 
 
-def _render_table(fmt, meta, headers, rows):
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(headers)
-        w.writerows(rows)
-        return buf.getvalue()
-    if fmt == "json":
-        payload = {"schema": SCHEMA_VERSION, **meta, "rows": [dict(zip(headers, r)) for r in rows]}
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
-    lines += ["| " + " | ".join(str(v) for v in r) + " |" for r in rows]
-    return "\n".join(lines) + "\n"
+_BLOCK_ROWS = 4096
+
+
+def _table(fmt, meta, columns):
+    """Writer of one table, given its meta and its columns (header -> cells).
+
+    The bytes are those of a csv writer, of ``json.dumps(indent=2)`` over
+    ``{"schema", **meta, "rows": [one dict per row]}``, or of the Markdown
+    lines; they go out in blocks of ``_BLOCK_ROWS`` rows, never as one string.
+    """
+    headers = list(columns)
+    cols = list(columns.values())
+
+    def write(stream):
+        if fmt == "csv":
+            stream.write(_csv_text([headers]))
+            for rows in _blocks(cols):
+                stream.write(_csv_text(rows))
+        elif fmt == "json":
+            _write_json_rows(stream, meta, headers, cols)
+        else:
+            stream.write("| " + " | ".join(headers) + " |\n|" + "---|" * len(headers) + "\n")
+            row = "| " + " | ".join(["%s"] * len(cols)) + " |\n"
+            for rows in _blocks(cols):
+                stream.write("".join(map(row.__mod__, rows)))
+
+    return write
+
+
+def _blocks(cols, encoders=None):
+    """The rows of the columns as tuples, one iterator per block of _BLOCK_ROWS.
+
+    encoders[j], when given and not None, is applied to every cell of column j.
+    """
+    encoders = encoders or [None] * len(cols)
+    for i in range(0, len(cols[0]), _BLOCK_ROWS):
+        yield zip(*[c[i:i + _BLOCK_ROWS] if enc is None else map(enc, c[i:i + _BLOCK_ROWS])
+                    for enc, c in zip(encoders, cols)])
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _json_encoder(cells):
+    """How json.dumps writes every cell of a column; None when '%s' already does."""
+    kinds = set(map(type, cells))
+    if kinds <= {int}:
+        return None
+    return json.encoder.encode_basestring_ascii if kinds <= {str} else json.dumps
+
+
+def _write_json_rows(stream, meta, headers, cols):
+    head = json.dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}, indent=2)
+    stream.write(head.removesuffix("[]\n}"))
+    if not cols[0]:
+        stream.write("[]\n}\n")
+        return
+    keys = (json.dumps(h).replace("%", "%%") for h in headers)
+    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+    sep = "[\n"
+    for rows in _blocks(cols, [_json_encoder(c) for c in cols]):
+        stream.write(sep)
+        stream.write(",\n".join(map(row.__mod__, rows)))
+        sep = ",\n"
+    stream.write("\n  ]\n}\n")
 
 
 def _render_payload(fmt, payload):
@@ -120,12 +175,13 @@ def _render_payload(fmt, payload):
         return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n"
     flat = _flatten(payload)
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["key", "value"])
-        w.writerows(flat)
-        return buf.getvalue()
+        return _csv_text([["key", "value"], *flat])
     return "\n".join(f"- **{k}**: {v}" for k, v in flat) + "\n"
+
+
+def _text(text):
+    """Writer of a payload already rendered to one (small) string."""
+    return lambda stream: stream.write(text)
 
 
 def _flatten(payload, prefix=""):
@@ -158,7 +214,7 @@ def _cmd_semigroup(args):
         "symmetric": sg.is_symmetric(),
         "first_nongaps": [sg.nth_nongap(i) for i in range(1, 21)],
     }
-    return _render_payload(args.format, payload)
+    return _text(_render_payload(args.format, payload))
 
 
 def _cmd_gaps(args):
@@ -169,7 +225,7 @@ def _cmd_gaps(args):
         gaps = semigroup_o1(params).gaps
     meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
             "count": len(gaps)}
-    return _render_table(args.format, meta, ["gap"], [[g] for g in gaps])
+    return _table(args.format, meta, {"gap": list(gaps)})
 
 
 def _cmd_fengrao_table(args):
@@ -185,8 +241,12 @@ def _cmd_fengrao_table(args):
         "orbit": args.orbit,
         "N": params.rational_point_count - 1,
     }
-    out = [[r.dim, r.rho, r.nu, r.d_ord] for r in rows]
-    return _render_table(args.format, meta, ["k", "rho_l", "nu_l", "d_ord"], out)
+    return _table(args.format, meta, {
+        "k": [r.dim for r in rows],
+        "rho_l": [r.rho for r in rows],
+        "nu_l": [r.nu for r in rows],
+        "d_ord": [r.d_ord for r in rows],
+    })
 
 
 def _cmd_quantum_table(args):
@@ -207,11 +267,13 @@ def _cmd_quantum_table(args):
         "regime": args.regime,
         "N": params.rational_point_count - 1,
     }
-    out = [
-        [r.index, r.d_floor, r.s_min, r.s_max, r.discrepancy or ""]
-        for r in rows
-    ]
-    return _render_table(args.format, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"], out)
+    return _table(args.format, meta, {
+        "l": [r.index for r in rows],
+        "d_ord": [r.d_floor for r in rows],
+        "s_min": [r.s_min for r in rows],
+        "s_max": [r.s_max for r in rows],
+        "discrepancy": [r.discrepancy or "" for r in rows],
+    })
 
 
 def _cmd_frobenius(args):
@@ -225,7 +287,7 @@ def _cmd_frobenius(args):
         "gk1": frobenius_dimension_gk1(params),
         "isomorphic": "not-applicable" if differ is None else (not differ),
     }
-    return _render_payload(args.format, payload)
+    return _text(_render_payload(args.format, payload))
 
 
 def _cmd_points(args):
@@ -242,7 +304,7 @@ def _cmd_points(args):
         "orbit_sizes": {"O1": c.o1, "O2": c.o2, "generic": c.generic},
         "maximality_count": params.rational_point_count,
     }
-    return _render_payload(args.format, payload)
+    return _text(_render_payload(args.format, payload))
 
 
 def _cmd_code_matrix(args):
@@ -255,9 +317,7 @@ def _cmd_code_matrix(args):
         raise UsageError(f"--l must be <= N = {n_support} (the code length), got {args.l}")
     ctx = curve_mod.field_context(params)
     matrix = curve_mod.code_matrix(params, ctx, args.orbit, args.l)
-    buf = io.StringIO()
-    curve_mod.write_matrix(buf, ctx, matrix)
-    return buf.getvalue()
+    return lambda stream: curve_mod.write_matrix(stream, ctx, matrix)
 
 
 def _cmd_verify(args):
@@ -364,7 +424,7 @@ def _cmd_verify(args):
         text = "\n".join(lines) + "\n"
     else:
         text = _render_payload(args.format, payload)
-    return text, EXIT_OK if all_ok else EXIT_INCONSISTENT
+    return _text(text), EXIT_OK if all_ok else EXIT_INCONSISTENT
 
 
 _COMMANDS = {
@@ -379,25 +439,49 @@ _COMMANDS = {
 }
 
 
+def _emit(write, path, code):
+    """Run a writer on the -o file, opened only now, or on stdout.
+
+    Returns code, or EXIT_USAGE after a one-line error when the output
+    cannot be written.  A reader that leaves early (``| head``) is not an
+    error: the rest of the output is dropped.
+    """
+    if path:
+        try:
+            with open(path, "w") as f:
+                write(f)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return code
+    if sys.stdout is None:  # the interpreter started with fd 1 closed
+        print("error: cannot write stdout", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point fd 1 at devnull so the interpreter's final flush of what is
+        # still buffered cannot fail again (the Python signal docs' advice).
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         fengrao._check_threads_env()
         result = _COMMANDS[args.command](args)
-        code = EXIT_OK
-        if isinstance(result, tuple):
-            result, code = result
-        if args.output:
-            try:
-                with open(args.output, "w") as f:
-                    f.write(result)
-            except OSError as exc:
-                print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            sys.stdout.write(result)
-        return code
+        write, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+        return _emit(write, args.output, code)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -438,8 +438,9 @@ def write_matrix(stream, ctx: GfContext, matrix: list[list[int]]) -> None:
     """Normative matrix file: header then one space-separated row per line."""
     ncols = len(matrix[0]) if matrix else 0
     stream.write(f"N={ncols} L={len(matrix)} p={ctx.p} deg={ctx.deg}\n")
+    names = [str(v) for v in range(ctx.order)]  # one str() per element, not per entry
     for row in matrix:
-        stream.write(" ".join(str(v) for v in row))
+        stream.write(" ".join(map(names.__getitem__, row)))
         stream.write("\n")
 
 

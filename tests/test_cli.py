@@ -1,12 +1,17 @@
+import csv
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+from gk2codes import cli, fengrao, quantum, refdata
 from gk2codes.cli import main
+from gk2codes.gk2 import curve_params, holomorphic_gap_set, orbit_semigroup, semigroup_o1
 
 
 def run_cli(capsys, *argv):
@@ -206,17 +211,29 @@ def test_threads_env_usage_error(capsys, monkeypatch):
 
 
 def test_unwritable_output_is_a_one_line_error(tmp_path):
-    target = tmp_path / "missing" / "x"
-    out = subprocess.run(
-        [sys.executable, "-m", "gk2codes.cli", "semigroup", "--q", "2", "--n", "3",
-         "--orbit", "O1", "-o", str(target)],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 1
-    assert "Traceback" not in out.stderr
-    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
-    assert out.stdout == ""
+    target = str(tmp_path / "missing" / "x")
+    cases = [
+        (["semigroup", "--q", "2", "--n", "3", "--orbit", "O1", "-o", target], None),
+        (["gaps", "--q", "3", "--n", "5", "--orbit", "O2", "-o", target], None),
+    ]
+    if os.path.exists("/dev/full"):  # a file that opens but cannot be written
+        gaps = ["gaps", "--q", "3", "--n", "5", "--orbit", "O2"]
+        small = ["semigroup", "--q", "2", "--n", "3", "--orbit", "O1"]  # fits one buffer
+        cases += [(gaps + ["-o", "/dev/full"], None), (gaps, "/dev/full"), (small, "/dev/full")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv, stdout_path in cases:
+        with open(stdout_path or os.devnull, "w") as stdout:
+            out = subprocess.run(
+                [sys.executable, "-m", "gk2codes.cli", *argv],
+                stdout=stdout if stdout_path else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,  # stdout buffered, as a user runs it
+            )
+        assert out.returncode == 1, argv
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert not out.stdout
 
 
 def test_console_entry_point_subprocess():
@@ -227,3 +244,193 @@ def test_console_entry_point_subprocess():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["count"] == 225
+
+
+# -- streamed tables against the former whole-string renderer -----------------
+
+
+def _render_table(fmt, meta, headers, rows):
+    """The former table renderer: one string per output, kept as the oracle."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(headers)
+        w.writerows(rows)
+        return buf.getvalue()
+    if fmt == "json":
+        payload = {"schema": 1, **meta, "rows": [dict(zip(headers, r)) for r in rows]}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
+    lines += ["| " + " | ".join(str(v) for v in r) + " |" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_table(command, q, n, orbit, fmt, lmin=None, lmax=None,
+                  regime=quantum.REGIME_ORDER_BOUND):
+    """The former gaps, fengrao-table and quantum-table subcommands."""
+    params = curve_params(q, n)
+    if command == "gaps":
+        gaps = holomorphic_gap_set(params) if orbit == "O2" else semigroup_o1(params).gaps
+        meta = {"command": "gaps", "q": q, "n": n, "orbit": orbit, "count": len(gaps)}
+        return _render_table(fmt, meta, ["gap"], [[g] for g in gaps])
+    sg = orbit_semigroup(params, orbit)
+    length = params.rational_point_count - 1
+    if command == "fengrao-table":
+        rows = fengrao.table(sg, params, 1 if lmin is None else lmin,
+                             3 * params.genus if lmax is None else lmax)
+        meta = {"command": command, "q": q, "n": n, "orbit": orbit, "N": length}
+        return _render_table(fmt, meta, ["k", "rho_l", "nu_l", "d_ord"],
+                             [[r.dim, r.rho, r.nu, r.d_ord] for r in rows])
+    rows = quantum.quantum_table(params, sg, lmin, lmax, regime=regime)
+    if refdata.has_reference(params) and regime == quantum.REGIME_ORDER_BOUND:
+        ref = {r["l"]: r for r in refdata.load_quantum_reference(orbit)}
+        rows = [quantum.range_order_bound(params, sg, r.index, reference_row=ref.get(r.index))
+                for r in rows]
+    meta = {"command": command, "q": q, "n": n, "orbit": orbit, "regime": regime, "N": length}
+    return _render_table(fmt, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"],
+                         [[r.index, r.d_floor, r.s_min, r.s_max, r.discrepancy or ""]
+                          for r in rows])
+
+
+TABLE_JOBS = [
+    ("gaps", 2, 5, "O1", {}),
+    ("gaps", 2, 5, "O2", {}),
+    ("fengrao-table", 2, 3, "O2", {}),
+    ("fengrao-table", 2, 5, "O1", {"lmin": 3, "lmax": 150}),
+    # the (2, 5) O1 reference rows, with "s_min computed ... != published ..."
+    ("quantum-table", 2, 5, "O1", {}),
+    ("quantum-table", 2, 5, "O2", {"lmin": 50, "lmax": 60}),
+    # "empty range" notes past l = N/2
+    ("quantum-table", 2, 3, "O1", {"regime": quantum.REGIME_HIGH_DEGREE}),
+    # 9001 rows: three blocks of the streamed renderer
+    ("quantum-table", 2, 7, "O1",
+     {"regime": quantum.REGIME_HIGH_DEGREE, "lmin": 30000, "lmax": 39000}),
+]
+
+
+def _table_argv(command, q, n, orbit, opts):
+    argv = [command, "--q", str(q), "--n", str(n), "--orbit", orbit]
+    for key, value in opts.items():
+        argv += [f"--{key}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+@pytest.mark.parametrize("job", TABLE_JOBS, ids=lambda j: " ".join(_table_argv(*j)))
+def test_streamed_table_matches_former_renderer(capsys, tmp_path, job, fmt):
+    command, q, n, orbit, opts = job
+    want = _oracle_table(command, q, n, orbit, fmt, **opts)
+    argv = _table_argv(*job) + ["--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == want
+    path = tmp_path / "t.out"
+    assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
+    assert path.read_bytes() == want.encode()
+
+
+CELLS = [
+    [],
+    [[0, ""]],
+    [[7, 'quote " backslash \\ e-acute \u00e9 percent %s'], [-3, "x"]],
+    [[2, None], [True, 2.5]],  # cells json.dumps writes neither as int nor as str
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 4096])
+@pytest.mark.parametrize("rows", CELLS, ids=["empty", "one", "escapes", "other-types"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_table_renderer_matches_former_renderer(monkeypatch, fmt, rows, block):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    headers, meta = ["k", "note %d"], {"command": "t", "q": 2, "note": "\u00e9"}
+    buf = io.StringIO()
+    cli._table(fmt, meta, {h: [r[i] for r in rows] for i, h in enumerate(headers)})(buf)
+    assert buf.getvalue() == _render_table(fmt, meta, headers, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_payload_output_is_the_rendered_payload(capsys, tmp_path, fmt):
+    argv = ["frobenius", "--q", "2", "--n", "5", "--format", fmt]
+    payload = {"command": "frobenius", "q": 2, "n": 5, "gk2": 7, "gk1": 9, "isomorphic": False}
+    want = cli._render_payload(fmt, payload)
+    assert run_cli(capsys, *argv) == (0, want, "")
+    path = tmp_path / "p.out"
+    assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
+    assert path.read_bytes() == want.encode()
+
+
+def test_high_degree_table_golden_bytes(capsys):
+    # the largest table job of the benchmark, 64 266 rows; the sha256 is the
+    # one recorded for it in perfbench/golden.json
+    code, out, _ = run_cli(capsys, "quantum-table", "--q", "2", "--n", "7", "--orbit", "O1",
+                           "--regime", "high-degree")
+    assert code == 0 and len(out) == 7875931
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "ecaaa4cee35e4135d6304e85aa9dbaf7d5eb708caa93a0f034e5fd403de5f108")
+
+
+# -- output contract: where the bytes go when the reader or the file fails ----
+
+CLI = [sys.executable, "-m", "gk2codes.cli"]
+
+
+# main() run by a caller that writes to stdout after it, as a wrapper would
+CALLER = [sys.executable, "-c",
+          "import sys; from gk2codes.cli import main; code = main(sys.argv[1:]); "
+          "print('after'); sys.stdout.flush(); sys.exit(code)"]
+
+
+PIPE_JOBS = {
+    # 7.9 MB: the reader takes 10 bytes and leaves while rows are being written
+    "big-csv": (["quantum-table", "--q", "2", "--n", "7", "--orbit", "O1",
+                 "--regime", "high-degree", "--format", "csv"], 10),
+    "big-json": (["quantum-table", "--q", "2", "--n", "7", "--orbit", "O1",
+                  "--regime", "high-degree"], 10),
+    # one buffer: the reader is gone before anything is written
+    "small": (["semigroup", "--q", "2", "--n", "3", "--orbit", "O1"], 0),
+}
+
+
+def _env(buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("entry", [CLI, CALLER], ids=["cli", "caller"])
+@pytest.mark.parametrize("job", sorted(PIPE_JOBS))
+def test_reader_closing_the_pipe_early_is_not_an_error(entry, job, buffered):
+    argv, nread = PIPE_JOBS[job]
+    proc = subprocess.Popen(entry + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_env(buffered))
+    assert len(proc.stdout.read(nread)) == nread
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_closed_stdout_is_a_one_line_error():
+    out = subprocess.run(
+        CLI + ["semigroup", "--q", "2", "--n", "3", "--orbit", "O1"],
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "error: cannot write stdout\n"
+
+
+@pytest.mark.parametrize("command", ["fengrao-table", "quantum-table"])
+def test_failed_computation_never_creates_the_output_file(tmp_path, command):
+    path = tmp_path / "never"
+    out = subprocess.run(
+        CLI + [command, "--q", "2", "--n", "5", "--orbit", "O1", "--lmin", "5", "--lmax", "4",
+               "-o", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    assert not path.exists()
