@@ -115,6 +115,8 @@ def _table(fmt, meta, columns):
 
     def write(stream):
         if fmt == "csv":
+            # a block per write call: straight to an unbuffered stdout,
+            # csv.writer would make one call per row
             stream.write(_csv_text([headers]))
             for rows in _blocks(cols):
                 stream.write(_csv_text(rows))
