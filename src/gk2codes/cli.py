@@ -9,15 +9,13 @@ failed at runtime), 3 an evaluation needed local resolution.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 
-from . import curve as curve_mod
-from . import fengrao, quantum, refdata
-from .errors import InternalConsistencyError, NeedsLocalResolutionError
-from .gf import MAX_FIELD_SIZE
+# curve, gf, fengrao, quantum, refdata, csv and json are imported by the
+# commands and renderers that use them, so each process compiles only what
+# its subcommand runs.
+from .errors import InternalConsistencyError, NeedsLocalResolutionError, _check_threads_env
 from .gk2 import (
     curve_params,
     frobenius_dimension_gk1,
@@ -39,6 +37,9 @@ EXIT_UNRESOLVED = 3
 
 SCHEMA_VERSION = 1
 MAX_CURVE_Q = 5
+# quantum.REGIME_ORDER_BOUND and quantum.REGIME_HIGH_DEGREE, spelled out so
+# that building the parser does not import quantum
+_REGIMES = ("order-bound", "high-degree")
 
 
 class UsageError(Exception):
@@ -75,11 +76,7 @@ def build_parser() -> _Parser:
     )
     qt = subs.add_parser("quantum-table", help="CSS parameter ranges")
     _add_common(qt, orbit=True, l_range=True)
-    qt.add_argument(
-        "--regime",
-        choices=(quantum.REGIME_ORDER_BOUND, quantum.REGIME_HIGH_DEGREE),
-        default=quantum.REGIME_ORDER_BOUND,
-    )
+    qt.add_argument("--regime", choices=_REGIMES, default=_REGIMES[0])
     _add_common(subs.add_parser("frobenius", help="Frobenius dimensions of both families"))
     _add_common(subs.add_parser("points", help="rational point census"))
     cm = subs.add_parser("code-matrix", help="evaluation code generator matrix")
@@ -143,6 +140,8 @@ def _blocks(cols, encoders=None):
 
 
 def _csv_text(rows):
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -150,6 +149,8 @@ def _csv_text(rows):
 
 def _json_encoder(cells):
     """How json.dumps writes every cell of a column; None when '%s' already does."""
+    import json
+
     kinds = set(map(type, cells))
     if kinds <= {int}:
         return None
@@ -157,6 +158,8 @@ def _json_encoder(cells):
 
 
 def _write_json_rows(stream, meta, headers, cols):
+    import json
+
     head = json.dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}, indent=2)
     stream.write(head.removesuffix("[]\n}"))
     if not cols[0]:
@@ -174,6 +177,8 @@ def _write_json_rows(stream, meta, headers, cols):
 
 def _render_payload(fmt, payload):
     if fmt == "json":
+        import json
+
         return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n"
     flat = _flatten(payload)
     if fmt == "csv":
@@ -231,6 +236,8 @@ def _cmd_gaps(args):
 
 
 def _cmd_fengrao_table(args):
+    from . import fengrao
+
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
     l_min = 1 if args.lmin is None else args.lmin
@@ -252,6 +259,8 @@ def _cmd_fengrao_table(args):
 
 
 def _cmd_quantum_table(args):
+    from . import quantum, refdata
+
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
     rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
@@ -293,6 +302,8 @@ def _cmd_frobenius(args):
 
 
 def _cmd_points(args):
+    from . import curve as curve_mod
+
     _require_curve_scale(args.q)
     params = curve_params(args.q, args.n)
     ctx = curve_mod.field_context(params)
@@ -310,6 +321,8 @@ def _cmd_points(args):
 
 
 def _cmd_code_matrix(args):
+    from . import curve as curve_mod
+
     _require_curve_scale(args.q)
     params = curve_params(args.q, args.n)
     if args.l < 1:
@@ -323,6 +336,10 @@ def _cmd_code_matrix(args):
 
 
 def _cmd_verify(args):
+    from . import curve as curve_mod
+    from . import refdata
+    from .gf import MAX_FIELD_SIZE
+
     _require_curve_scale(args.q)
     params = curve_params(args.q, args.n)
     checks = []
@@ -480,7 +497,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        fengrao._check_threads_env()
+        _check_threads_env()
         result = _COMMANDS[args.command](args)
         write, code = result if isinstance(result, tuple) else (result, EXIT_OK)
         return _emit(write, args.output, code)

@@ -43,8 +43,8 @@ serialized coordinate), so matrices are bit-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError, NeedsLocalResolutionError, PoleEvaluationError
 from .gf import GfContext, make_field, rank_profile
@@ -56,8 +56,7 @@ ORBIT_SMALL_AFFINE = "O2"
 ORBIT_GENERIC = "generic"
 
 
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     kind: str  # "affine" | "infinity"
     x: int | None = None
     y: int | None = None
@@ -71,8 +70,7 @@ class CurvePoint:
         return (1, self.a)
 
 
-@dataclass(frozen=True)
-class PointCensus:
+class PointCensus(NamedTuple):
     total: int
     o1: int
     o2: int
@@ -128,18 +126,18 @@ def iter_points(params: CurveParams, ctx: GfContext):
     ystep, zstep = n // q1, n // m
     for x, ly, lw in sorted(_fibers(params, ctx)):
         if ly is None:
-            yield CurvePoint(kind="affine", x=x, y=0, z=0, orbit=ORBIT_SMALL_AFFINE)
+            yield CurvePoint("affine", x, 0, 0, None, ORBIT_SMALL_AFFINE)
             continue
         for y, i in sorted((exp[ly + i * ystep], i) for i in range(q1)):
             if lw is None:
-                yield CurvePoint(kind="affine", x=x, y=y, z=0, orbit=ORBIT_SMALL_AFFINE)
+                yield CurvePoint("affine", x, y, 0, None, ORBIT_SMALL_AFFINE)
                 continue
             l = (lw + i * ystep) % n
             if l % m == 0:  # m | order - 1: w has m roots or none
                 for z in sorted(exp[l // m + t * zstep] for t in range(m)):
-                    yield CurvePoint(kind="affine", x=x, y=y, z=z, orbit=ORBIT_GENERIC)
+                    yield CurvePoint("affine", x, y, z, None, ORBIT_GENERIC)
     for a in ctx.nth_roots(ctx.one, q1):
-        yield CurvePoint(kind="infinity", a=a, orbit=ORBIT_INFINITE)
+        yield CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE)
 
 
 def enumerate_points(params: CurveParams, ctx: GfContext) -> list[CurvePoint]:
@@ -205,8 +203,7 @@ def classify_point(params: CurveParams, ctx: GfContext, point: CurvePoint) -> st
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoleBasisFunction:
+class PoleBasisFunction(NamedTuple):
     """Monomial in the orbit's generator functions.
 
     For O1 the generator functions are theta_i = z^i/(x+y) for i = 0..s

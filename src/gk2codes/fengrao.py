@@ -12,18 +12,16 @@ on and nu_l = l - g for l >= 3g: the profile stops at l = 3g + 1.
 
 from __future__ import annotations
 
-import os
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, _check_threads_env
 from .gk2 import CurveParams
 from .semigroup import NumericalSemigroup
 
 
-@dataclass(frozen=True)
-class CodeTableRow:
+class CodeTableRow(NamedTuple):
     """One row of a dual one-point code parameter table.
 
     length is the code length N, index the row index l, dim = N - l the dual
@@ -53,7 +51,7 @@ def _gap_pair_counts(gaps: tuple[int, ...], conductor: int) -> memoryview:
 
 def _profile(semigroup: NumericalSemigroup) -> tuple[list[int], list[int]]:
     """(nu_l, min of nu_m over m >= l) for 1 <= l <= 3g + 1, kept on the instance."""
-    prof = vars(semigroup).get("_feng_rao_profile")
+    prof = semigroup._feng_rao_profile
     if prof is None:
         g = semigroup.genus
         pairs = _gap_pair_counts(semigroup.gaps, semigroup.conductor)
@@ -91,17 +89,6 @@ def d_ord(semigroup: NumericalSemigroup, index: int) -> int:
     return min(nu(semigroup, index), _read(semigroup, 1, index + 1))
 
 
-def _check_threads_env() -> None:
-    """Validate GK2_THREADS; tables are computed in one pass whatever its value."""
-    raw = os.environ.get("GK2_THREADS", "").strip()
-    try:
-        if not raw or int(raw) >= 1:
-            return
-    except ValueError:
-        pass
-    raise ValueError(f"GK2_THREADS must be a positive integer, got {raw!r}")
-
-
 def table(
     semigroup: NumericalSemigroup,
     params: CurveParams,
@@ -116,13 +103,7 @@ def table(
     if not 1 <= l_min <= l_max <= length - 1:
         raise ValueError(f"need 1 <= l_min <= l_max <= N-1, got [{l_min}, {l_max}]")
     return [
-        CodeTableRow(
-            length=length,
-            index=l,
-            dim=length - l,
-            rho=semigroup.nth_nongap(l),
-            nu=_read(semigroup, 0, l),
-            d_ord=_read(semigroup, 1, l),
-        )
+        CodeTableRow(length, l, length - l, semigroup.nth_nongap(l),
+                     _read(semigroup, 0, l), _read(semigroup, 1, l))
         for l in range(l_min, l_max + 1)
     ]

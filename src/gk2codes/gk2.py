@@ -13,7 +13,7 @@ InternalConsistencyError immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .semigroup import NumericalSemigroup, closure_table
@@ -41,8 +41,7 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
     return p, e
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(NamedTuple):
     """Derived scalars of one member of the curve family.
 
     q: prime power; n: odd integer >= 3;
@@ -215,8 +214,7 @@ def canonical_triple(params: CurveParams, value: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Outcome of the telescopic-partition verification for one (q, n)."""
 
     q: int

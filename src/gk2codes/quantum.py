@@ -14,7 +14,7 @@ formula output is never altered to match the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fengrao import d_ord
 from .gk2 import CurveParams
@@ -24,8 +24,7 @@ REGIME_HIGH_DEGREE = "high-degree"
 REGIME_ORDER_BOUND = "order-bound"
 
 
-@dataclass(frozen=True)
-class QuantumRange:
+class QuantumRange(NamedTuple):
     """Admissible [[N, s, D]] parameter range for one base index l.
 
     d_floor is the guaranteed lower bound for D; s runs over
@@ -55,15 +54,8 @@ def range_high_degree(params: CurveParams, index: int) -> QuantumRange:
             f"index {index} outside the high-degree regime [{3*g-1}, {length-g}]"
         )
     s_max = length - 2 * index
-    return QuantumRange(
-        length=length,
-        index=index,
-        d_floor=index + 1 - g,
-        s_min=1,
-        s_max=s_max,
-        regime=REGIME_HIGH_DEGREE,
-        discrepancy="empty range" if s_max < 1 else None,
-    )
+    return QuantumRange(length, index, index + 1 - g, 1, s_max, REGIME_HIGH_DEGREE,
+                        "empty range" if s_max < 1 else None)
 
 
 def range_order_bound(
@@ -94,15 +86,7 @@ def range_order_bound(
         ]
         if diffs:
             note = "; ".join(diffs)
-    return QuantumRange(
-        length=length,
-        index=index,
-        d_floor=d,
-        s_min=s_min,
-        s_max=s_max,
-        regime=REGIME_ORDER_BOUND,
-        discrepancy=note,
-    )
+    return QuantumRange(length, index, d, s_min, s_max, REGIME_ORDER_BOUND, note)
 
 
 def quantum_table(
@@ -117,14 +101,15 @@ def quantum_table(
     length = params.rational_point_count - 1
     if regime == REGIME_ORDER_BOUND:
         lo, hi = g, 3 * g - 1
-        make = lambda l: range_order_bound(params, semigroup, l)
     elif regime == REGIME_HIGH_DEGREE:
         lo, hi = 3 * g - 1, length - g
-        make = lambda l: range_high_degree(params, l)
     else:
         raise ValueError(f"unknown regime {regime!r}")
     l_min = lo if l_min is None else l_min
     l_max = hi if l_max is None else l_max
     if not lo <= l_min <= l_max <= hi:
         raise ValueError(f"need {lo} <= l_min <= l_max <= {hi}, got [{l_min}, {l_max}]")
-    return [make(l) for l in range(l_min, l_max + 1)]
+    indices = range(l_min, l_max + 1)
+    if regime == REGIME_ORDER_BOUND:
+        return [range_order_bound(params, semigroup, l) for l in indices]
+    return [range_high_degree(params, l) for l in indices]

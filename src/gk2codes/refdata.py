@@ -11,8 +11,8 @@ column typos, a duplicated cell, an omitted cell), is reported side by side.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .fengrao import table as fengrao_table
 from .gk2 import CurveParams
@@ -44,24 +44,23 @@ def load_quantum_reference(orbit: str) -> list[dict[str, int]]:
     return _read_csv(_QUANTUM_FILES[orbit])
 
 
-@dataclass(frozen=True)
-class CellMismatch:
+class CellMismatch(NamedTuple):
     index: int
     column: str
     computed: int
     reference: int
 
 
-@dataclass
 class CodeTableComparison:
     """Computed-vs-reference comparison for one orbit's classical table."""
 
-    orbit: str
-    rows_checked: int = 0
-    value_mismatches: list[CellMismatch] = field(default_factory=list)
-    first_column_typos: list[tuple[int, int]] = field(default_factory=list)  # (row#, printed N)
-    duplicated_cells: list[int] = field(default_factory=list)  # duplicated k values
-    omitted_indices: list[int] = field(default_factory=list)  # l missing from the printout
+    def __init__(self, orbit: str):
+        self.orbit = orbit
+        self.rows_checked = 0
+        self.value_mismatches: list[CellMismatch] = []
+        self.first_column_typos: list[tuple[int, int]] = []  # (row#, printed N)
+        self.duplicated_cells: list[int] = []  # duplicated k values
+        self.omitted_indices: list[int] = []  # l missing from the printout
 
     @property
     def clean(self) -> bool:
@@ -71,7 +70,7 @@ class CodeTableComparison:
         return {
             "orbit": self.orbit,
             "rows_checked": self.rows_checked,
-            "value_mismatches": [vars(m) for m in self.value_mismatches],
+            "value_mismatches": [m._asdict() for m in self.value_mismatches],
             "first_column_typos": [{"row": r, "printed": v} for r, v in self.first_column_typos],
             "duplicated_cells_k": self.duplicated_cells,
             "omitted_indices": self.omitted_indices,
@@ -109,14 +108,14 @@ def compare_code_table(
     return comp
 
 
-@dataclass
 class QuantumTableComparison:
     """Computed-vs-reference comparison for one orbit's CSS range table."""
 
-    orbit: str
-    rows_checked: int = 0
-    d_or_smax_mismatches: list[CellMismatch] = field(default_factory=list)
-    s_min_mismatches: list[CellMismatch] = field(default_factory=list)
+    def __init__(self, orbit: str):
+        self.orbit = orbit
+        self.rows_checked = 0
+        self.d_or_smax_mismatches: list[CellMismatch] = []
+        self.s_min_mismatches: list[CellMismatch] = []
 
     @property
     def clean(self) -> bool:
@@ -126,8 +125,8 @@ class QuantumTableComparison:
         return {
             "orbit": self.orbit,
             "rows_checked": self.rows_checked,
-            "d_or_smax_mismatches": [vars(m) for m in self.d_or_smax_mismatches],
-            "s_min_mismatches": [vars(m) for m in self.s_min_mismatches],
+            "d_or_smax_mismatches": [m._asdict() for m in self.d_or_smax_mismatches],
+            "s_min_mismatches": [m._asdict() for m in self.s_min_mismatches],
         }
 
 

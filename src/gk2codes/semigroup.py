@@ -14,10 +14,11 @@ non-negative integers gaps; the number of gaps is the genus.  Nongaps are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd
 
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def closure_table(generators: tuple[int, ...], bound: int) -> bytearray:
@@ -48,7 +49,6 @@ def _initial_bound(gens: tuple[int, ...]) -> int:
     return best + gens[0] + 1
 
 
-@dataclass(frozen=True)
 class NumericalSemigroup:
     """Immutable numerical semigroup with cached gap/nongap data.
 
@@ -58,14 +58,47 @@ class NumericalSemigroup:
         genus: number of gaps.
         gaps: sorted tuple of all gaps.
         nongaps_cached: sorted nongaps up to conductor + max(generators).
+
+    Equality, hash and repr go by these five fields.  The Feng-Rao profile
+    (fengrao.py) is cached in a private slot, built on first use.
     """
 
-    generators: tuple[int, ...]
-    conductor: int
-    genus: int
-    gaps: tuple[int, ...]
-    nongaps_cached: tuple[int, ...]
-    _gap_set: frozenset[int] = field(repr=False)
+    _FIELDS = ("generators", "conductor", "genus", "gaps", "nongaps_cached")
+    __slots__ = _FIELDS + ("_gap_set", "_feng_rao_profile")
+
+    def __init__(self, generators, conductor, genus, gaps, nongaps_cached):
+        init = object.__setattr__
+        init(self, "generators", generators)
+        init(self, "conductor", conductor)
+        init(self, "genus", genus)
+        init(self, "gaps", gaps)
+        init(self, "nongaps_cached", nongaps_cached)
+        init(self, "_gap_set", frozenset(gaps))
+        init(self, "_feng_rao_profile", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: NumericalSemigroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: NumericalSemigroup is immutable")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._key()))
+        return f"NumericalSemigroup({fields})"
 
     @classmethod
     def from_generators(cls, gens, conductor_hint: int | None = None) -> "NumericalSemigroup":
@@ -91,7 +124,7 @@ class NumericalSemigroup:
             bound = min(bound, max(conductor_hint + gens[0] + 1, 2 * gens[0]))
         while True:
             reach = closure_table(gens, bound)
-            last_gap = max((v for v in range(bound + 1) if not reach[v]), default=-1)
+            last_gap = reach.rfind(0)  # the table spans [0, bound]; -1 if no gap
             # conductor is proven once a full window of gens[0] consecutive
             # members sits below the sieve bound
             if last_gap + gens[0] <= bound:
@@ -99,19 +132,12 @@ class NumericalSemigroup:
             bound *= 2
 
         conductor = last_gap + 1
-        gaps = tuple(v for v in range(conductor) if not reach[v])
+        gaps = tuple(compress(range(conductor), reach[:conductor].translate(_FLIP_BITS)))
         top = conductor + gens[-1]
-        nongaps = tuple(v for v in range(min(top, bound) + 1) if reach[v])
+        nongaps = tuple(compress(range(min(top, bound) + 1), reach))
         if top > bound:
             nongaps += tuple(range(bound + 1, top + 1))
-        return cls(
-            generators=gens,
-            conductor=conductor,
-            genus=len(gaps),
-            gaps=gaps,
-            nongaps_cached=nongaps,
-            _gap_set=frozenset(gaps),
-        )
+        return cls(gens, conductor, len(gaps), gaps, nongaps)
 
     def contains(self, x: int) -> bool:
         """True iff x is a nongap."""

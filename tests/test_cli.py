@@ -171,19 +171,52 @@ def test_code_matrix_rows_beyond_code_length_rejected_fast(l):
     assert out.stdout == ""
 
 
+# One small job per subcommand; lazy imports hide a command's imports from a
+# probe that only imports the module, so the probe runs each job.
+_IMPORT_PROBE_JOBS = {
+    "semigroup": ("--q", "2", "--n", "5", "--orbit", "O1"),
+    "gaps": ("--q", "2", "--n", "5", "--orbit", "O2", "--format", "csv"),
+    "fengrao-table": ("--q", "2", "--n", "3", "--orbit", "O1", "--format", "md"),
+    "quantum-table": ("--q", "2", "--n", "5", "--orbit", "O1"),
+    "frobenius": ("--q", "2", "--n", "5", "--format", "csv"),
+    "points": ("--q", "2", "--n", "3"),
+    "code-matrix": ("--q", "2", "--n", "3", "--orbit", "O1", "--l", "4"),
+    "verify": ("--q", "2", "--n", "5"),
+}
+_NOT_LOADED_BY = {
+    "points": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata"},
+    "code-matrix": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata"},
+    "semigroup": {"gk2codes.gf", "gk2codes.curve"},
+    "gaps": {"gk2codes.gf", "gk2codes.curve"},
+    "fengrao-table": {"gk2codes.gf", "gk2codes.curve"},
+    "quantum-table": {"gk2codes.gf", "gk2codes.curve"},
+}
+
+
 def test_cli_imports_only_the_standard_library():
     # site hooks may preload third-party modules, so only new imports count
     probe = (
-        "import sys\n"
+        "import os, sys\n"
         "before = set(sys.modules)\n"
-        "import gk2codes.cli\n"
-        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
-        "print(' '.join(sorted(n for n in new\n"
-        "                      if n not in sys.stdlib_module_names and n != 'gk2codes')))\n"
+        "from gk2codes.cli import main\n"
+        "code = main(sys.argv[1:] + ['-o', os.devnull])\n"
+        "print(code, ' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == []
+    for command, args in _IMPORT_PROBE_JOBS.items():
+        out = subprocess.run([sys.executable, "-c", probe, command, *args],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (command, out.stderr)
+        code, *new = out.stdout.split()
+        assert code == "0", (command, out.stderr)
+        third_party = {name.split(".")[0] for name in new} - set(sys.stdlib_module_names)
+        assert third_party <= {"gk2codes"}, (command, third_party)
+        assert "dataclasses" not in new, command
+        assert not _NOT_LOADED_BY.get(command, set()) & set(new), (command, new)
+        assert "gk2codes.cli" in new, command
+
+
+def test_regime_choices_are_the_quantum_regimes():
+    assert cli._REGIMES == (quantum.REGIME_ORDER_BOUND, quantum.REGIME_HIGH_DEGREE)
 
 
 def test_verify_exit_codes(capsys):

@@ -2,7 +2,8 @@
 
 The oracles are the former implementations: a fresh O(rho) scan per nu value,
 d_ord as a suffix scan of those values up to the tail start 3g, the table
-built from them, and the bytearray dynamic-programming closure.
+built from them, the bytearray dynamic-programming closure, and the
+per-index readout of the gap sieve.
 """
 
 from functools import cache
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from gk2codes.fengrao import CodeTableRow, d_ord, nu, table
 from gk2codes.gk2 import curve_params, o1_generators, o2_generators, orbit_semigroup
-from gk2codes.semigroup import NumericalSemigroup, closure_table
+from gk2codes.semigroup import NumericalSemigroup, _initial_bound, closure_table
 
 
 def closure_table_dp(generators, bound):
@@ -26,6 +27,27 @@ def closure_table_dp(generators, bound):
             if reach[v - g]:
                 reach[v] = 1
     return reach
+
+
+def sieve_readout_scan(gens, conductor_hint=None):
+    """Oracle: (conductor, gaps, nongaps_cached) read off the sieve index by index."""
+    gens = tuple(sorted(set(gens)))
+    bound = _initial_bound(gens)
+    if conductor_hint is not None:
+        bound = min(bound, max(conductor_hint + gens[0] + 1, 2 * gens[0]))
+    while True:
+        reach = closure_table(gens, bound)
+        last_gap = max((v for v in range(bound + 1) if not reach[v]), default=-1)
+        if last_gap + gens[0] <= bound:
+            break
+        bound *= 2
+    conductor = last_gap + 1
+    gaps = tuple(v for v in range(conductor) if not reach[v])
+    top = conductor + gens[-1]
+    nongaps = tuple(v for v in range(min(top, bound) + 1) if reach[v])
+    if top > bound:
+        nongaps += tuple(range(bound + 1, top + 1))
+    return conductor, gaps, nongaps
 
 
 def nu_scan(sg, index):
@@ -87,6 +109,24 @@ def test_profile_matches_scan_on_small_semigroups(gens):
     assert_profile_matches_scan(NumericalSemigroup.from_generators(gens))
 
 
+@settings(max_examples=120, deadline=None)
+@given(generator_sets, st.none() | st.integers(0, 200))
+def test_sieve_readout_matches_scan(gens, conductor_hint):
+    sg = NumericalSemigroup.from_generators(gens, conductor_hint=conductor_hint)
+    conductor, gaps, nongaps = sieve_readout_scan(gens, conductor_hint)
+    assert (sg.conductor, sg.gaps, sg.nongaps_cached) == (conductor, gaps, nongaps)
+    assert sg.genus == len(gaps)
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+@pytest.mark.parametrize("qn", [(2, 5), (3, 5), (4, 3)])
+def test_sieve_readout_matches_scan_on_orbit_semigroups(qn, orbit):
+    params = curve_params(*qn)
+    gens = (o1_generators if orbit == "O1" else o2_generators)(params)
+    sg = NumericalSemigroup.from_generators(gens, conductor_hint=2 * params.genus)
+    assert (sg.conductor, sg.gaps, sg.nongaps_cached) == sieve_readout_scan(gens, 2 * params.genus)
+
+
 def test_profile_of_the_naturals():
     sg = NumericalSemigroup.from_generators({1})
     assert [nu(sg, l) for l in range(1, 6)] == [1, 2, 3, 4, 5]
@@ -117,12 +157,13 @@ def test_table_matches_scan_on_q3_n5_o1():
 
 def test_profile_is_built_lazily_once_per_instance():
     sg = NumericalSemigroup.from_generators((22, 24, 26, 28, 30, 32, 33))
-    assert "_feng_rao_profile" not in vars(sg)
+    assert sg._feng_rao_profile is None
     first = nu(sg, 10)
-    profile = vars(sg)["_feng_rao_profile"]
+    profile = sg._feng_rao_profile
+    assert profile is not None
     d_ord(sg, 10)
     table(sg, curve_params(2, 5), 1, 20)
-    assert vars(sg)["_feng_rao_profile"] is profile
+    assert sg._feng_rao_profile is profile
     assert nu(sg, 10) == first
 
 
