@@ -15,7 +15,7 @@ import sys
 # curve, gf, fengrao, quantum, refdata, csv and json are imported by the
 # commands and renderers that use them, so each process compiles only what
 # its subcommand runs.
-from .errors import InternalConsistencyError, NeedsLocalResolutionError, _check_threads_env
+from .errors import InternalConsistencyError, NeedsLocalResolutionError
 from .gk2 import (
     curve_params,
     frobenius_dimension_gk1,
@@ -497,7 +497,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_threads_env()
         result = _COMMANDS[args.command](args)
         write, code = result if isinstance(result, tuple) else (result, EXIT_OK)
         return _emit(write, args.output, code)

@@ -16,7 +16,7 @@ import sys
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import InternalConsistencyError, _check_threads_env
+from .errors import InternalConsistencyError
 from .gk2 import CurveParams
 from .semigroup import NumericalSemigroup
 
@@ -96,7 +96,6 @@ def table(
     l_max: int | None = None,
 ) -> list[CodeTableRow]:
     """Parameter rows for the dual codes of length N = point count - 1."""
-    _check_threads_env()
     length = params.rational_point_count - 1
     if l_max is None:
         l_max = 3 * params.genus

@@ -137,7 +137,10 @@ def _is_irreducible(poly, p):
 
 
 def _smallest_irreducible(p: int, deg: int) -> tuple[int, ...]:
-    for tail in product(range(p), repeat=deg):
+    # past degree 1 a zero constant term means a factor x, so c0 starts at 1
+    # (c0 varies slowest, so the order of the remaining candidates is kept)
+    low = range(p) if deg == 1 else range(1, p)
+    for tail in product(low, *[range(p)] * (deg - 1)):
         poly = list(tail) + [1]
         if _is_irreducible(poly, p):
             return tuple(poly)

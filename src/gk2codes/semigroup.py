@@ -2,10 +2,10 @@
 
 A numerical semigroup here is the set of all non-negative integer
 combinations of a finite generating set with gcd 1.  Construction closes the
-generators on a Python-int bitset up to a bound that provably covers the
-conductor (the Frobenius bound (a-1)(b-1) for a coprime generator pair when
-one exists), then shrinks to the observed conductor.  It is self-proving:
-the bound is grown until min(generators) consecutive members close the gaps.
+generators on a Python-int bitset up to a bound, doubling the bound until
+min(generators) consecutive members below it prove the conductor.  Every
+query is answered from the two sorted tuples this leaves, gaps and
+nongaps_cached.
 
 Elements of the semigroup are called nongaps, the finitely many missing
 non-negative integers gaps; the number of gaps is the genus.  Nongaps are
@@ -14,6 +14,7 @@ non-negative integers gaps; the number of gaps is the genus.  Nongaps are
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd
 
@@ -34,21 +35,6 @@ def closure_table(generators: tuple[int, ...], bound: int) -> bytearray:
     return bytearray(format(reach, f"0{bound + 1}b")[::-1], "ascii").translate(_ASCII_BITS)
 
 
-def _initial_bound(gens: tuple[int, ...]) -> int:
-    # Frobenius bound for the best coprime pair, if any; otherwise a
-    # heuristic start that the construction loop will grow as needed.
-    best = None
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if gcd(a, b) == 1:
-                c = (a - 1) * (b - 1)
-                if best is None or c < best:
-                    best = c
-    if best is None:
-        best = gens[0] * gens[-1]
-    return best + gens[0] + 1
-
-
 class NumericalSemigroup:
     """Immutable numerical semigroup with cached gap/nongap data.
 
@@ -64,7 +50,7 @@ class NumericalSemigroup:
     """
 
     _FIELDS = ("generators", "conductor", "genus", "gaps", "nongaps_cached")
-    __slots__ = _FIELDS + ("_gap_set", "_feng_rao_profile")
+    __slots__ = _FIELDS + ("_feng_rao_profile",)
 
     def __init__(self, generators, conductor, genus, gaps, nongaps_cached):
         init = object.__setattr__
@@ -73,7 +59,6 @@ class NumericalSemigroup:
         init(self, "genus", genus)
         init(self, "gaps", gaps)
         init(self, "nongaps_cached", nongaps_cached)
-        init(self, "_gap_set", frozenset(gaps))
         init(self, "_feng_rao_profile", None)
 
     def __setattr__(self, name, value):
@@ -106,7 +91,8 @@ class NumericalSemigroup:
 
         conductor_hint, when given, seeds the sieve bound (e.g. 2*genus when
         the genus is known a priori); a hint that is too small only costs a
-        retry with a doubled bound, never a wrong answer.
+        retry with a doubled bound, one that is too large only a longer
+        sieve, never a wrong answer.
         """
         gens = tuple(sorted(set(int(g) for g in gens)))
         if not gens:
@@ -119,9 +105,7 @@ class NumericalSemigroup:
         if d != 1:
             raise ValueError(f"gcd(generators) = {d} != 1: not a numerical semigroup")
 
-        bound = _initial_bound(gens)
-        if conductor_hint is not None:
-            bound = min(bound, max(conductor_hint + gens[0] + 1, 2 * gens[0]))
+        bound = max(conductor_hint or 0, gens[0]) + gens[0] + 1
         while True:
             reach = closure_table(gens, bound)
             last_gap = reach.rfind(0)  # the table spans [0, bound]; -1 if no gap
@@ -143,7 +127,8 @@ class NumericalSemigroup:
         """True iff x is a nongap."""
         if x < 0:
             return False
-        return x >= self.conductor or x not in self._gap_set
+        # below the conductor gaps is non-empty and ends at conductor - 1
+        return x >= self.conductor or self.gaps[bisect_left(self.gaps, x)] != x
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
@@ -163,21 +148,14 @@ class NumericalSemigroup:
             return 0
         if value >= self.conductor:
             return value + 1 - self.genus
-        lo, hi = 0, len(self.nongaps_cached)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.nongaps_cached[mid] <= value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_right(self.nongaps_cached, value)
 
     def nongaps_upto(self, value: int) -> list[int]:
         """Sorted nongaps <= value."""
         if value < 0:
             return []
         cached_top = self.nongaps_cached[-1] if self.nongaps_cached else -1
-        out = [v for v in self.nongaps_cached if v <= value]
+        out = list(self.nongaps_cached[: bisect_right(self.nongaps_cached, value)])
         if value > cached_top:
             out.extend(range(max(cached_top + 1, self.conductor), value + 1))
         return out

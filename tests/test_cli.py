@@ -236,11 +236,31 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
 
 
-def test_threads_env_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("GK2_THREADS", "-2")
-    assert run_cli(capsys, "frobenius", "--q", "2", "--n", "5")[0] == 1
-    monkeypatch.setenv("GK2_THREADS", "2")
-    assert run_cli(capsys, "frobenius", "--q", "2", "--n", "5")[0] == 0
+def test_threads_env_is_ignored(capsys, monkeypatch):
+    # GK2_THREADS once picked a thread pool; every value now gives the same run
+    argv = ("fengrao-table", "--q", "2", "--n", "5", "--orbit", "O1", "--lmax", "40")
+    monkeypatch.delenv("GK2_THREADS", raising=False)
+    base = run_cli(capsys, *argv)
+    assert base[0] == 0
+    for raw in ("2", "-2", "zero"):
+        monkeypatch.setenv("GK2_THREADS", raw)
+        assert run_cli(capsys, *argv) == base
+
+
+def test_package_reads_no_environment():
+    import ast
+    from pathlib import Path
+
+    import gk2codes
+
+    readers = []
+    for path in sorted(Path(gk2codes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # attribute (os.environ), bare name (environ) or imported alias
+            names = {getattr(node, field, None) for field in ("attr", "id", "name")}
+            if names & {"environ", "getenv", "environb", "getenvb"}:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_unwritable_output_is_a_one_line_error(tmp_path):

@@ -1,9 +1,18 @@
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
-from gk2codes.gf import GfContext, _poly_mulmod, make_field, matrix_rank, rank_profile
+from gk2codes.gf import (
+    MAX_FIELD_SIZE,
+    GfContext,
+    _is_irreducible,
+    _poly_mulmod,
+    _smallest_irreducible,
+    make_field,
+    matrix_rank,
+    rank_profile,
+)
 
 
 def _gauss_jordan_rank(ctx, rows):
@@ -138,6 +147,36 @@ def test_modulus_is_deterministic_smallest():
     f3 = make_field(3, 2)
     assert f3.modulus[-1] == 1
     assert len(f3.modulus) == 3
+
+
+def _smallest_irreducible_full_scan(p, deg):
+    """Oracle: the former modulus search, over every constant term from 0."""
+    for tail in product(range(p), repeat=deg):
+        poly = list(tail) + [1]
+        if _is_irreducible(poly, p):
+            return tuple(poly)
+    raise AssertionError(f"no irreducible polynomial of degree {deg} over F_{p}")
+
+
+def _curve_fields():
+    """(p, 2 e n) of every field F_{q^{2n}}, q = p^e and n odd >= 3, under the cap."""
+    out = set()
+    for p in (2, 3, 5, 7, 11):
+        e = 1
+        while p ** (6 * e) <= MAX_FIELD_SIZE:
+            n = 3
+            while p ** (2 * e * n) <= MAX_FIELD_SIZE:
+                out.add((p, 2 * e * n))
+                n += 2
+            e += 1
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "p, deg", _curve_fields() + [(p, d) for p in (2, 3, 5, 7) for d in (1, 2)]
+)
+def test_modulus_search_matches_full_scan(p, deg):
+    assert _smallest_irreducible(p, deg) == _smallest_irreducible_full_scan(p, deg)
 
 
 def test_generator_order():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gk2codes.fengrao import CodeTableRow, d_ord, nu, table
 from gk2codes.gk2 import curve_params, o1_generators, o2_generators, orbit_semigroup
-from gk2codes.semigroup import NumericalSemigroup, _initial_bound, closure_table
+from gk2codes.semigroup import NumericalSemigroup, closure_table
 
 
 def closure_table_dp(generators, bound):
@@ -29,18 +29,18 @@ def closure_table_dp(generators, bound):
     return reach
 
 
-def sieve_readout_scan(gens, conductor_hint=None):
-    """Oracle: (conductor, gaps, nongaps_cached) read off the sieve index by index."""
+def sieve_readout_scan(gens):
+    """Oracle: (conductor, gaps, nongaps_cached) read off the sieve index by index.
+
+    The sieve runs once up to a fixed bound: the Frobenius number is below
+    (a_1 - 1)(a_k - 1) (Schur), so a_1 a_k leaves a full window of a_1
+    members above the last gap.  The readout does not depend on the bound.
+    """
     gens = tuple(sorted(set(gens)))
-    bound = _initial_bound(gens)
-    if conductor_hint is not None:
-        bound = min(bound, max(conductor_hint + gens[0] + 1, 2 * gens[0]))
-    while True:
-        reach = closure_table(gens, bound)
-        last_gap = max((v for v in range(bound + 1) if not reach[v]), default=-1)
-        if last_gap + gens[0] <= bound:
-            break
-        bound *= 2
+    bound = gens[0] * gens[-1]
+    reach = closure_table(gens, bound)
+    last_gap = max((v for v in range(bound + 1) if not reach[v]), default=-1)
+    assert last_gap + gens[0] <= bound
     conductor = last_gap + 1
     gaps = tuple(v for v in range(conductor) if not reach[v])
     top = conductor + gens[-1]
@@ -113,7 +113,7 @@ def test_profile_matches_scan_on_small_semigroups(gens):
 @given(generator_sets, st.none() | st.integers(0, 200))
 def test_sieve_readout_matches_scan(gens, conductor_hint):
     sg = NumericalSemigroup.from_generators(gens, conductor_hint=conductor_hint)
-    conductor, gaps, nongaps = sieve_readout_scan(gens, conductor_hint)
+    conductor, gaps, nongaps = sieve_readout_scan(gens)
     assert (sg.conductor, sg.gaps, sg.nongaps_cached) == (conductor, gaps, nongaps)
     assert sg.genus == len(gaps)
 
@@ -124,7 +124,7 @@ def test_sieve_readout_matches_scan_on_orbit_semigroups(qn, orbit):
     params = curve_params(*qn)
     gens = (o1_generators if orbit == "O1" else o2_generators)(params)
     sg = NumericalSemigroup.from_generators(gens, conductor_hint=2 * params.genus)
-    assert (sg.conductor, sg.gaps, sg.nongaps_cached) == sieve_readout_scan(gens, 2 * params.genus)
+    assert (sg.conductor, sg.gaps, sg.nongaps_cached) == sieve_readout_scan(gens)
 
 
 def test_profile_of_the_naturals():

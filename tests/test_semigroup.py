@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gk2codes.semigroup import NumericalSemigroup, is_telescopic, telescopic_genus
 
@@ -20,6 +22,33 @@ def closure_upto(gens, bound):
                     nxt.append(w)
         frontier = nxt
     return members
+
+
+def count_nongaps_upto_search(s, value):
+    """Oracle: the former hand-written binary search for count_nongaps_upto."""
+    if value < 0:
+        return 0
+    if value >= s.conductor:
+        return value + 1 - s.genus
+    lo, hi = 0, len(s.nongaps_cached)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if s.nongaps_cached[mid] <= value:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def nongaps_upto_scan(s, value):
+    """Oracle: the former linear scan of the cached nongaps for nongaps_upto."""
+    if value < 0:
+        return []
+    cached_top = s.nongaps_cached[-1] if s.nongaps_cached else -1
+    out = [v for v in s.nongaps_cached if v <= value]
+    if value > cached_top:
+        out.extend(range(max(cached_top + 1, s.conductor), value + 1))
+    return out
 
 
 H_O1_25 = (22, 24, 26, 28, 30, 32, 33)
@@ -159,3 +188,50 @@ def test_telescopic_genus_cross_check_random():
         if not is_telescopic(seq):
             continue
         assert telescopic_genus(seq) == NumericalSemigroup.from_generators(seq).genus
+
+
+generator_sets = st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
+    lambda gens: gcd(*gens) == 1
+)
+
+
+def query_points(s):
+    """Every value up to past the cache, plus the boundary queries."""
+    top = s.nongaps_cached[-1]
+    return [-5, -1, 0, s.conductor - 1, s.conductor, top, top + 1, top + 7] + list(range(top + 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets)
+def test_queries_match_the_former_code(gens):
+    s = NumericalSemigroup.from_generators(gens)
+    gap_set = frozenset(s.gaps)  # the former membership index
+    for x in query_points(s):
+        assert s.contains(x) == (x >= 0 and (x >= s.conductor or x not in gap_set))
+        assert (x in s) == s.contains(x)
+        assert s.count_nongaps_upto(x) == count_nongaps_upto_search(s, x)
+        assert s.nongaps_upto(x) == nongaps_upto_scan(s, x)
+
+
+def test_boundary_queries_on_the_naturals_and_an_orbit_semigroup():
+    naturals = NumericalSemigroup.from_generators({1})
+    assert naturals.conductor == 0 and not naturals.contains(-1) and naturals.contains(0)
+    assert naturals.count_nongaps_upto(-1) == 0 and naturals.count_nongaps_upto(0) == 1
+    assert naturals.nongaps_upto(3) == [0, 1, 2, 3]
+    s = NumericalSemigroup.from_generators(H_O1_25)
+    c, top = s.conductor, s.nongaps_cached[-1]
+    assert not s.contains(-1) and s.contains(0)
+    assert not s.contains(c - 1) and s.contains(c)
+    assert s.count_nongaps_upto(c - 1) == c - s.genus
+    assert s.count_nongaps_upto(c) == c + 1 - s.genus
+    assert s.count_nongaps_upto(top + 10) == top + 11 - s.genus
+    assert s.nongaps_upto(top + 10) == list(s.nongaps_cached) + list(range(top + 1, top + 11))
+    assert s.nongaps_upto(-1) == [] and s.nongaps_upto(0) == [0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets)
+def test_conductor_hint_never_changes_the_semigroup(gens):
+    s = NumericalSemigroup.from_generators(gens)
+    for hint in (0, 1, s.conductor, 10 * s.conductor):
+        assert NumericalSemigroup.from_generators(gens, conductor_hint=hint) == s
