@@ -11,6 +11,9 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from functools import partial
+from itertools import chain
+from operator import attrgetter
 
 # curve, gf, fengrao, quantum, refdata, csv and json are imported by the
 # commands and renderers that use them, so each process compiles only what
@@ -100,43 +103,52 @@ def _require_curve_scale(q: int):
 _BLOCK_ROWS = 4096
 
 
-def _table(fmt, meta, columns):
-    """Writer of one table, given its meta and its columns (header -> cells).
+def _field(name):
+    """Column reader: the named field of every record in a block."""
+    return partial(map, attrgetter(name))
 
-    The bytes are those of a csv writer, of ``json.dumps(indent=2)`` over
-    ``{"schema", **meta, "rows": [one dict per row]}``, or of the Markdown
-    lines; they go out in blocks of ``_BLOCK_ROWS`` rows, never as one string.
+
+def _table(fmt, meta, rows, columns):
+    """Writer of one table, given its meta, its rows and its columns.
+
+    columns maps each header to a reader, which takes a block (a slice of
+    rows) to an iterator over that column's cells.  The bytes are those of a
+    csv writer, of ``json.dumps(indent=2)`` over ``{"schema", **meta, "rows":
+    [one dict per row]}``, or of the Markdown lines; they go out in blocks of
+    ``_BLOCK_ROWS`` rows, never as one string.
     """
     headers = list(columns)
-    cols = list(columns.values())
+    readers = list(columns.values())
 
     def write(stream):
         if fmt == "csv":
             # a block per write call: straight to an unbuffered stdout,
             # csv.writer would make one call per row
             stream.write(_csv_text([headers]))
-            for rows in _blocks(cols):
-                stream.write(_csv_text(rows))
+            for i in range(0, len(rows), _BLOCK_ROWS):
+                block = rows[i:i + _BLOCK_ROWS]
+                stream.write(_csv_text(zip(*[read(block) for read in readers])))
         elif fmt == "json":
-            _write_json_rows(stream, meta, headers, cols)
+            _write_json_rows(stream, meta, headers, rows, readers)
         else:
             stream.write("| " + " | ".join(headers) + " |\n|" + "---|" * len(headers) + "\n")
-            row = "| " + " | ".join(["%s"] * len(cols)) + " |\n"
-            for rows in _blocks(cols):
-                stream.write("".join(map(row.__mod__, rows)))
+            row = "| " + " | ".join(["%s"] * len(readers)) + " |\n"
+            _write_blocks(stream, rows, lambda block: [read(block) for read in readers], row, "")
 
     return write
 
 
-def _blocks(cols, encoders=None):
-    """The rows of the columns as tuples, one iterator per block of _BLOCK_ROWS.
+def _write_blocks(stream, rows, columns, row, sep):
+    """Write rows as copies of the row template joined by sep, one % per block.
 
-    encoders[j], when given and not None, is applied to every cell of column j.
+    columns(block) gives the cells of a block of rows, one iterable per column.
     """
-    encoders = encoders or [None] * len(cols)
-    for i in range(0, len(cols[0]), _BLOCK_ROWS):
-        yield zip(*[c[i:i + _BLOCK_ROWS] if enc is None else map(enc, c[i:i + _BLOCK_ROWS])
-                    for enc, c in zip(encoders, cols)])
+    full = sep.join([row] * _BLOCK_ROWS)
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[i:i + _BLOCK_ROWS]
+        template = full if len(block) == _BLOCK_ROWS else sep.join([row] * len(block))
+        cells = tuple(chain.from_iterable(zip(*columns(block))))
+        stream.write((sep if i else "") + template % cells)
 
 
 def _csv_text(rows):
@@ -148,7 +160,7 @@ def _csv_text(rows):
 
 
 def _json_encoder(cells):
-    """How json.dumps writes every cell of a column; None when '%s' already does."""
+    """How json.dumps writes each of the cells; None when '%s' already does."""
     import json
 
     kinds = set(map(type, cells))
@@ -157,21 +169,25 @@ def _json_encoder(cells):
     return json.encoder.encode_basestring_ascii if kinds <= {str} else json.dumps
 
 
-def _write_json_rows(stream, meta, headers, cols):
+def _write_json_rows(stream, meta, headers, rows, readers):
     import json
 
     head = json.dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}, indent=2)
     stream.write(head.removesuffix("[]\n}"))
-    if not cols[0]:
+    if not rows:
         stream.write("[]\n}\n")
         return
+
+    def columns(block):
+        # each cell comes out as json.dumps writes it, so encoders may differ by block
+        cols = [tuple(read(block)) for read in readers]
+        encoders = map(_json_encoder, cols)
+        return [c if enc is None else map(enc, c) for c, enc in zip(cols, encoders)]
+
     keys = (json.dumps(h).replace("%", "%%") for h in headers)
     row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    sep = "[\n"
-    for rows in _blocks(cols, [_json_encoder(c) for c in cols]):
-        stream.write(sep)
-        stream.write(",\n".join(map(row.__mod__, rows)))
-        sep = ",\n"
+    stream.write("[\n")
+    _write_blocks(stream, rows, columns, row, ",\n")
     stream.write("\n  ]\n}\n")
 
 
@@ -232,7 +248,7 @@ def _cmd_gaps(args):
         gaps = semigroup_o1(params).gaps
     meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
             "count": len(gaps)}
-    return _table(args.format, meta, {"gap": list(gaps)})
+    return _table(args.format, meta, gaps, {"gap": iter})
 
 
 def _cmd_fengrao_table(args):
@@ -250,26 +266,29 @@ def _cmd_fengrao_table(args):
         "orbit": args.orbit,
         "N": params.rational_point_count - 1,
     }
-    return _table(args.format, meta, {
-        "k": [r.dim for r in rows],
-        "rho_l": [r.rho for r in rows],
-        "nu_l": [r.nu for r in rows],
-        "d_ord": [r.d_ord for r in rows],
+    return _table(args.format, meta, rows, {
+        "k": _field("dim"),
+        "rho_l": _field("rho"),
+        "nu_l": _field("nu"),
+        "d_ord": _field("d_ord"),
     })
 
 
 def _cmd_quantum_table(args):
-    from . import quantum, refdata
+    from . import quantum
 
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
     rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
-    if refdata.has_reference(params) and args.regime == quantum.REGIME_ORDER_BOUND:
-        ref = {r["l"]: r for r in refdata.load_quantum_reference(args.orbit)}
-        rows = [
-            quantum.range_order_bound(params, sg, r.index, reference_row=ref.get(r.index))
-            for r in rows
-        ]
+    if args.regime == quantum.REGIME_ORDER_BOUND:
+        from . import refdata
+
+        if refdata.has_reference(params):
+            ref = {r["l"]: r for r in refdata.load_quantum_reference(args.orbit)}
+            rows = [
+                quantum.range_order_bound(params, sg, r.index, reference_row=ref.get(r.index))
+                for r in rows
+            ]
     meta = {
         "command": "quantum-table",
         "q": params.q,
@@ -278,13 +297,23 @@ def _cmd_quantum_table(args):
         "regime": args.regime,
         "N": params.rational_point_count - 1,
     }
-    return _table(args.format, meta, {
-        "l": [r.index for r in rows],
-        "d_ord": [r.d_floor for r in rows],
-        "s_min": [r.s_min for r in rows],
-        "s_max": [r.s_max for r in rows],
-        "discrepancy": [r.discrepancy or "" for r in rows],
+    return _table(args.format, meta, rows, {
+        "l": _field("index"),
+        "d_ord": _field("d_floor"),
+        "s_min": _field("s_min"),
+        "s_max": _field("s_max"),
+        "discrepancy": _discrepancies,
     })
+
+
+_BLANK_NONE = {None: ""}
+
+
+def _discrepancies(block):
+    """The discrepancy cells of a block of ranges: the note, or "" for None."""
+    notes = map(attrgetter("discrepancy"), block)
+    # get(note, note): "" for None, the note itself otherwise
+    return map(_BLANK_NONE.get, notes, map(attrgetter("discrepancy"), block))
 
 
 def _cmd_frobenius(args):

@@ -13,7 +13,7 @@ on and nu_l = l - g for l >= 3g: the profile stops at l = 3g + 1.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -89,20 +89,36 @@ def d_ord(semigroup: NumericalSemigroup, index: int) -> int:
     return min(nu(semigroup, index), _read(semigroup, 1, index + 1))
 
 
+def _column(values, l_min: int, l_max: int, shift: int):
+    """values[l - 1] for l in [l_min, l_max]; past the end of values, l + shift."""
+    past = range(max(l_min, len(values) + 1) + shift, l_max + 1 + shift)
+    return chain(values[l_min - 1:l_max], past)
+
+
 def table(
     semigroup: NumericalSemigroup,
     params: CurveParams,
     l_min: int = 1,
     l_max: int | None = None,
 ) -> list[CodeTableRow]:
-    """Parameter rows for the dual codes of length N = point count - 1."""
+    """Parameter rows for the dual codes of length N = point count - 1.
+
+    rho, nu and d_ord are slices of the nongap cache and the profile,
+    extended past their ends by the laws of nth_nongap and _read.
+    """
     length = params.rational_point_count - 1
     if l_max is None:
         l_max = 3 * params.genus
     if not 1 <= l_min <= l_max <= length - 1:
         raise ValueError(f"need 1 <= l_min <= l_max <= N-1, got [{l_min}, {l_max}]")
-    return [
-        CodeTableRow(length, l, length - l, semigroup.nth_nongap(l),
-                     _read(semigroup, 0, l), _read(semigroup, 1, l))
-        for l in range(l_min, l_max + 1)
-    ]
+    g = semigroup.genus
+    nus, d_ords = _profile(semigroup)
+    columns = zip(
+        repeat(length),
+        range(l_min, l_max + 1),
+        range(length - l_min, length - l_max - 1, -1),
+        _column(semigroup.nongaps_cached, l_min, l_max, g - 1),
+        _column(nus, l_min, l_max, -g),
+        _column(d_ords, l_min, l_max, -g),
+    )
+    return list(map(tuple.__new__, repeat(CodeTableRow), columns))

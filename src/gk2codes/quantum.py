@@ -14,6 +14,7 @@ formula output is never altered to match the reference.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .fengrao import d_ord
@@ -53,9 +54,28 @@ def range_high_degree(params: CurveParams, index: int) -> QuantumRange:
         raise ValueError(
             f"index {index} outside the high-degree regime [{3*g-1}, {length-g}]"
         )
-    s_max = length - 2 * index
-    return QuantumRange(length, index, index + 1 - g, 1, s_max, REGIME_HIGH_DEGREE,
-                        "empty range" if s_max < 1 else None)
+    return _high_degree_rows(length, g, index, index)[0]
+
+
+def _high_degree_rows(length: int, g: int, l_min: int, l_max: int) -> list[QuantumRange]:
+    """High-degree ranges for l in [l_min, l_max], built column by column.
+
+    Every column is a progression in l, so the records are made by
+    ``tuple.__new__`` over zipped ranges, with no Python call per row.
+    """
+    # s_max = N - 2l >= 1 exactly for l <= (N - 1) // 2; past that the range is empty
+    split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
+    notes = chain(repeat(None, split - l_min), repeat("empty range", l_max + 1 - split))
+    columns = zip(
+        repeat(length),
+        range(l_min, l_max + 1),
+        range(l_min + 1 - g, l_max + 2 - g),
+        repeat(1),
+        range(length - 2 * l_min, length - 2 * l_max - 1, -2),
+        repeat(REGIME_HIGH_DEGREE),
+        notes,
+    )
+    return list(map(tuple.__new__, repeat(QuantumRange), columns))
 
 
 def range_order_bound(
@@ -109,7 +129,6 @@ def quantum_table(
     l_max = hi if l_max is None else l_max
     if not lo <= l_min <= l_max <= hi:
         raise ValueError(f"need {lo} <= l_min <= l_max <= {hi}, got [{l_min}, {l_max}]")
-    indices = range(l_min, l_max + 1)
     if regime == REGIME_ORDER_BOUND:
-        return [range_order_bound(params, semigroup, l) for l in indices]
-    return [range_high_degree(params, l) for l in indices]
+        return [range_order_bound(params, semigroup, l) for l in range(l_min, l_max + 1)]
+    return _high_degree_rows(length, g, l_min, l_max)

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
+from operator import itemgetter
 
 import pytest
 
@@ -171,13 +173,16 @@ def test_code_matrix_rows_beyond_code_length_rejected_fast(l):
     assert out.stdout == ""
 
 
-# One small job per subcommand; lazy imports hide a command's imports from a
-# probe that only imports the module, so the probe runs each job.
+# One small job per subcommand, keyed by the subcommand and then any variant;
+# lazy imports hide a command's imports from a probe that only imports the
+# module, so the probe runs each job.
 _IMPORT_PROBE_JOBS = {
     "semigroup": ("--q", "2", "--n", "5", "--orbit", "O1"),
     "gaps": ("--q", "2", "--n", "5", "--orbit", "O2", "--format", "csv"),
     "fengrao-table": ("--q", "2", "--n", "3", "--orbit", "O1", "--format", "md"),
     "quantum-table": ("--q", "2", "--n", "5", "--orbit", "O1"),
+    "quantum-table high-degree": ("--q", "2", "--n", "5", "--orbit", "O1",
+                                  "--regime", "high-degree"),
     "frobenius": ("--q", "2", "--n", "5", "--format", "csv"),
     "points": ("--q", "2", "--n", "3"),
     "code-matrix": ("--q", "2", "--n", "3", "--orbit", "O1", "--l", "4"),
@@ -190,6 +195,8 @@ _NOT_LOADED_BY = {
     "gaps": {"gk2codes.gf", "gk2codes.curve"},
     "fengrao-table": {"gk2codes.gf", "gk2codes.curve"},
     "quantum-table": {"gk2codes.gf", "gk2codes.curve"},
+    # reference rows exist only for the order-bound regime
+    "quantum-table high-degree": {"gk2codes.gf", "gk2codes.curve", "gk2codes.refdata", "csv"},
 }
 
 
@@ -202,17 +209,17 @@ def test_cli_imports_only_the_standard_library():
         "code = main(sys.argv[1:] + ['-o', os.devnull])\n"
         "print(code, ' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    for command, args in _IMPORT_PROBE_JOBS.items():
-        out = subprocess.run([sys.executable, "-c", probe, command, *args],
+    for job, args in _IMPORT_PROBE_JOBS.items():
+        out = subprocess.run([sys.executable, "-c", probe, job.split()[0], *args],
                              capture_output=True, text=True)
-        assert out.returncode == 0, (command, out.stderr)
+        assert out.returncode == 0, (job, out.stderr)
         code, *new = out.stdout.split()
-        assert code == "0", (command, out.stderr)
+        assert code == "0", (job, out.stderr)
         third_party = {name.split(".")[0] for name in new} - set(sys.stdlib_module_names)
-        assert third_party <= {"gk2codes"}, (command, third_party)
-        assert "dataclasses" not in new, command
-        assert not _NOT_LOADED_BY.get(command, set()) & set(new), (command, new)
-        assert "gk2codes.cli" in new, command
+        assert third_party <= {"gk2codes"}, (job, third_party)
+        assert "dataclasses" not in new, job
+        assert not _NOT_LOADED_BY.get(job, set()) & set(new), (job, new)
+        assert "gk2codes.cli" in new, job
 
 
 def test_regime_choices_are_the_quantum_regimes():
@@ -387,17 +394,20 @@ CELLS = [
     [[0, ""]],
     [[7, 'quote " backslash \\ e-acute \u00e9 percent %s'], [-3, "x"]],
     [[2, None], [True, 2.5]],  # cells json.dumps writes neither as int nor as str
+    # seven rows: a short last block for blocks of 2, 3 and 4096, exact for 1 and 7
+    [[i, f'%d "{i}" \\ %% \u00e9' * i] for i in range(7)],
 ]
 
 
-@pytest.mark.parametrize("block", [1, 2, 4096])
-@pytest.mark.parametrize("rows", CELLS, ids=["empty", "one", "escapes", "other-types"])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
+@pytest.mark.parametrize("rows", CELLS, ids=["empty", "one", "escapes", "other-types", "seven"])
 @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
 def test_table_renderer_matches_former_renderer(monkeypatch, fmt, rows, block):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
     headers, meta = ["k", "note %d"], {"command": "t", "q": 2, "note": "\u00e9"}
+    columns = {h: partial(map, itemgetter(i)) for i, h in enumerate(headers)}
     buf = io.StringIO()
-    cli._table(fmt, meta, {h: [r[i] for r in rows] for i, h in enumerate(headers)})(buf)
+    cli._table(fmt, meta, [tuple(r) for r in rows], columns)(buf)
     assert buf.getvalue() == _render_table(fmt, meta, headers, rows)
 
 

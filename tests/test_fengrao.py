@@ -1,6 +1,6 @@
 import pytest
 
-from gk2codes.fengrao import CodeTableRow, d_ord, nu, table
+from gk2codes.fengrao import CodeTableRow, _read, d_ord, nu, table
 from gk2codes.gk2 import curve_params, semigroup_o1, semigroup_o2
 from gk2codes.semigroup import NumericalSemigroup
 
@@ -138,3 +138,35 @@ def test_generic_semigroup_tail():
     for index in range(1, 30):
         assert nu(sg, index) == nu_bruteforce(sg, index)
         assert d_ord(sg, index) == d_ord_bruteforce(sg, index, top=90)
+
+
+def table_per_row(sg, params, l_min, l_max):
+    """Oracle: the former table, one nth_nongap and two profile reads per row."""
+    length = params.rational_point_count - 1
+    return [
+        CodeTableRow(length, l, length - l, sg.nth_nongap(l), _read(sg, 0, l), _read(sg, 1, l))
+        for l in range(l_min, l_max + 1)
+    ]
+
+
+def _table_windows(sg, length):
+    """Row ranges that start and end on both sides of the cache and profile ends."""
+    cached, profile = len(sg.nongaps_cached), 3 * sg.genus + 1
+    windows = [(1, 3 * sg.genus), (1, length - 1), (length - 1, length - 1)]
+    for edge in (cached, profile):
+        windows += [(edge - 2, edge + 3), (edge, edge), (edge + 1, edge + 1), (1, edge),
+                    (edge + 1, edge + 40)]
+    windows.append((cached - 1, profile + 1))
+    return windows
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 5)])
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+def test_table_matches_per_row_oracle(q, n, orbit):
+    params = curve_params(q, n)
+    sg = semigroup_o1(params) if orbit == "O1" else semigroup_o2(params)
+    length = params.rational_point_count - 1
+    for l_min, l_max in _table_windows(sg, length):
+        rows = table(sg, params, l_min, l_max)
+        assert rows == table_per_row(sg, params, l_min, l_max), (l_min, l_max)
+        assert all(type(r) is CodeTableRow for r in rows)

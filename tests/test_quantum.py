@@ -1,10 +1,15 @@
+from functools import cache
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gk2codes.fengrao import d_ord
 from gk2codes.gk2 import curve_params, semigroup_o1, semigroup_o2
 from gk2codes.quantum import (
     REGIME_HIGH_DEGREE,
     REGIME_ORDER_BOUND,
+    QuantumRange,
     quantum_table,
     range_high_degree,
     range_order_bound,
@@ -104,3 +109,44 @@ def test_quantum_table_defaults(p25, s1):
     assert all(r.d_floor == r.index + 1 - p25.genus for r in hi)
     with pytest.raises(ValueError):
         quantum_table(p25, s1, 1, 10)
+
+
+def high_degree_row(params, index):
+    """Oracle: the former per-row high-degree formula."""
+    g = params.genus
+    length = params.rational_point_count - 1
+    s_max = length - 2 * index
+    return QuantumRange(length, index, index + 1 - g, 1, s_max, REGIME_HIGH_DEGREE,
+                        "empty range" if s_max < 1 else None)
+
+
+@cache
+def _curve(q, n):
+    params = curve_params(q, n)
+    return params, semigroup_o1(params)
+
+
+@st.composite
+def high_degree_ranges(draw):
+    q, n = draw(st.sampled_from([(2, 3), (2, 5), (3, 3), (2, 7)]))
+    params, _ = _curve(q, n)
+    lo, hi = 3 * params.genus - 1, params.rational_point_count - 1 - params.genus
+    l_min = draw(st.integers(lo, hi))
+    span = draw(st.sampled_from([0, 3, hi - lo]))  # one row, a few, or up to the regime end
+    return q, n, l_min, draw(st.integers(l_min, min(hi, l_min + span)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(high_degree_ranges())
+@example((2, 3, 29, 214))  # the whole regime, N = 224: rows past N/2 are empty
+@example((2, 3, 111, 113))  # s_max = 2, 0, -2: the first empty row
+@example((2, 3, 214, 214))  # a single empty row
+@example((2, 7, 570, 570))  # a single row at the lower edge
+def test_high_degree_table_matches_per_row_oracle(job):
+    q, n, l_min, l_max = job
+    params, sg = _curve(q, n)
+    rows = quantum_table(params, sg, l_min, l_max, regime=REGIME_HIGH_DEGREE)
+    want = [high_degree_row(params, l) for l in range(l_min, l_max + 1)]
+    assert rows == want
+    assert rows == [range_high_degree(params, l) for l in range(l_min, l_max + 1)]
+    assert all(type(r) is QuantumRange for r in rows)
