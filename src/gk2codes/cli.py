@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from functools import partial
-from itertools import chain
+from itertools import chain, islice, tee
 from operator import attrgetter
 
 # curve, gf, fengrao, quantum, refdata, csv and json are imported by the
@@ -103,52 +102,49 @@ def _require_curve_scale(q: int):
 _BLOCK_ROWS = 4096
 
 
-def _field(name):
-    """Column reader: the named field of every record in a block."""
-    return partial(map, attrgetter(name))
+def _table(fmt, meta, nrows, columns, text=()):
+    """Writer of one table of nrows rows, given its meta and its columns.
 
-
-def _table(fmt, meta, rows, columns):
-    """Writer of one table, given its meta, its rows and its columns.
-
-    columns maps each header to a reader, which takes a block (a slice of
-    rows) to an iterator over that column's cells.  The bytes are those of a
-    csv writer, of ``json.dumps(indent=2)`` over ``{"schema", **meta, "rows":
-    [one dict per row]}``, or of the Markdown lines; they go out in blocks of
+    columns maps each header to one iterable over that column's cells, the
+    whole table long.  The cells are ints, but for the columns named in
+    text, whose cells are strs.  The bytes are those of a csv writer, of
+    ``json.dumps(indent=2)`` over ``{"schema", **meta, "rows": [one dict per
+    row]}``, or of the Markdown lines; they go out in blocks of
     ``_BLOCK_ROWS`` rows, never as one string.
     """
     headers = list(columns)
-    readers = list(columns.values())
+    cols = list(columns.values())
 
     def write(stream):
         if fmt == "csv":
             # a block per write call: straight to an unbuffered stdout,
             # csv.writer would make one call per row
             stream.write(_csv_text([headers]))
-            for i in range(0, len(rows), _BLOCK_ROWS):
-                block = rows[i:i + _BLOCK_ROWS]
-                stream.write(_csv_text(zip(*[read(block) for read in readers])))
+            rows = zip(*cols)
+            for _ in range(0, nrows, _BLOCK_ROWS):
+                stream.write(_csv_text(islice(rows, _BLOCK_ROWS)))
         elif fmt == "json":
-            _write_json_rows(stream, meta, headers, rows, readers)
+            _write_json_rows(stream, meta, nrows, headers, cols, text)
         else:
             stream.write("| " + " | ".join(headers) + " |\n|" + "---|" * len(headers) + "\n")
-            row = "| " + " | ".join(["%s"] * len(readers)) + " |\n"
-            _write_blocks(stream, rows, lambda block: [read(block) for read in readers], row, "")
+            row = "| " + " | ".join(["%s"] * len(headers)) + " |\n"
+            _write_blocks(stream, nrows, cols, row, "")
 
     return write
 
 
-def _write_blocks(stream, rows, columns, row, sep):
-    """Write rows as copies of the row template joined by sep, one % per block.
+def _write_blocks(stream, nrows, cols, row, sep):
+    """Write nrows rows as copies of the row template joined by sep, one % per block.
 
-    columns(block) gives the cells of a block of rows, one iterable per column.
+    cols holds one iterable per column; each block takes its cells from one
+    row-major chain over them.
     """
+    cells = chain.from_iterable(zip(*cols))
     full = sep.join([row] * _BLOCK_ROWS)
-    for i in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[i:i + _BLOCK_ROWS]
-        template = full if len(block) == _BLOCK_ROWS else sep.join([row] * len(block))
-        cells = tuple(chain.from_iterable(zip(*columns(block))))
-        stream.write((sep if i else "") + template % cells)
+    for i in range(0, nrows, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, nrows - i)
+        template = full if n == _BLOCK_ROWS else sep.join([row] * n)
+        stream.write((sep if i else "") + template % tuple(islice(cells, n * len(cols))))
 
 
 def _csv_text(rows):
@@ -159,35 +155,21 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
-def _json_encoder(cells):
-    """How json.dumps writes each of the cells; None when '%s' already does."""
-    import json
-
-    kinds = set(map(type, cells))
-    if kinds <= {int}:
-        return None
-    return json.encoder.encode_basestring_ascii if kinds <= {str} else json.dumps
-
-
-def _write_json_rows(stream, meta, headers, rows, readers):
+def _write_json_rows(stream, meta, nrows, headers, cols, text):
     import json
 
     head = json.dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}, indent=2)
     stream.write(head.removesuffix("[]\n}"))
-    if not rows:
+    if not nrows:
         stream.write("[]\n}\n")
         return
-
-    def columns(block):
-        # each cell comes out as json.dumps writes it, so encoders may differ by block
-        cols = [tuple(read(block)) for read in readers]
-        encoders = map(_json_encoder, cols)
-        return [c if enc is None else map(enc, c) for c, enc in zip(cols, encoders)]
-
+    # each cell as json.dumps writes it: an int as %s does, a str quoted and escaped
+    quote = json.encoder.encode_basestring_ascii
+    cols = [map(quote, col) if h in text else col for h, col in zip(headers, cols)]
     keys = (json.dumps(h).replace("%", "%%") for h in headers)
     row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
     stream.write("[\n")
-    _write_blocks(stream, rows, columns, row, ",\n")
+    _write_blocks(stream, nrows, cols, row, ",\n")
     stream.write("\n  ]\n}\n")
 
 
@@ -248,7 +230,7 @@ def _cmd_gaps(args):
         gaps = semigroup_o1(params).gaps
     meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
             "count": len(gaps)}
-    return _table(args.format, meta, gaps, {"gap": iter})
+    return _table(args.format, meta, len(gaps), {"gap": gaps})
 
 
 def _cmd_fengrao_table(args):
@@ -258,7 +240,7 @@ def _cmd_fengrao_table(args):
     sg = orbit_semigroup(params, args.orbit)
     l_min = 1 if args.lmin is None else args.lmin
     l_max = 3 * params.genus if args.lmax is None else args.lmax
-    rows = fengrao.table(sg, params, l_min, l_max)
+    _, _, dims, rhos, nus, d_ords = fengrao._table_columns(sg, params, l_min, l_max)
     meta = {
         "command": "fengrao-table",
         "q": params.q,
@@ -266,12 +248,8 @@ def _cmd_fengrao_table(args):
         "orbit": args.orbit,
         "N": params.rational_point_count - 1,
     }
-    return _table(args.format, meta, rows, {
-        "k": _field("dim"),
-        "rho_l": _field("rho"),
-        "nu_l": _field("nu"),
-        "d_ord": _field("d_ord"),
-    })
+    columns = {"k": dims, "rho_l": rhos, "nu_l": nus, "d_ord": d_ords}
+    return _table(args.format, meta, l_max - l_min + 1, columns)
 
 
 def _cmd_quantum_table(args):
@@ -279,16 +257,26 @@ def _cmd_quantum_table(args):
 
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
-    rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
-    if args.regime == quantum.REGIME_ORDER_BOUND:
+    if args.regime == quantum.REGIME_HIGH_DEGREE:
+        # the columns alone: no QuantumRange record is built
+        l_min, l_max = quantum._window(params, args.lmin, args.lmax, args.regime)
+        _, index, d_floor, s_min, s_max, _, notes = quantum._high_degree_columns(
+            params.rational_point_count - 1, params.genus, l_min, l_max)
+        nrows = l_max - l_min + 1
+    else:
         from . import refdata
 
+        rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
         if refdata.has_reference(params):
             ref = {r["l"]: r for r in refdata.load_quantum_reference(args.orbit)}
             rows = [
-                quantum.range_order_bound(params, sg, r.index, reference_row=ref.get(r.index))
+                r._replace(discrepancy=quantum._reference_note(
+                    ref.get(r.index), r.d_floor, r.s_min, r.s_max))
                 for r in rows
             ]
+        fields = ("index", "d_floor", "s_min", "s_max", "discrepancy")
+        index, d_floor, s_min, s_max, notes = (map(attrgetter(f), rows) for f in fields)
+        nrows = len(rows)
     meta = {
         "command": "quantum-table",
         "q": params.q,
@@ -297,23 +285,19 @@ def _cmd_quantum_table(args):
         "regime": args.regime,
         "N": params.rational_point_count - 1,
     }
-    return _table(args.format, meta, rows, {
-        "l": _field("index"),
-        "d_ord": _field("d_floor"),
-        "s_min": _field("s_min"),
-        "s_max": _field("s_max"),
-        "discrepancy": _discrepancies,
-    })
+    columns = {"l": index, "d_ord": d_floor, "s_min": s_min, "s_max": s_max,
+               "discrepancy": _blank_none(notes)}
+    return _table(args.format, meta, nrows, columns, text=("discrepancy",))
 
 
 _BLANK_NONE = {None: ""}
 
 
-def _discrepancies(block):
-    """The discrepancy cells of a block of ranges: the note, or "" for None."""
-    notes = map(attrgetter("discrepancy"), block)
+def _blank_none(notes):
+    """The notes, with "" for None."""
+    notes, again = tee(notes)
     # get(note, note): "" for None, the note itself otherwise
-    return map(_BLANK_NONE.get, notes, map(attrgetter("discrepancy"), block))
+    return map(_BLANK_NONE.get, notes, again)
 
 
 def _cmd_frobenius(args):

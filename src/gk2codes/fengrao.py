@@ -95,25 +95,20 @@ def _column(values, l_min: int, l_max: int, shift: int):
     return chain(values[l_min - 1:l_max], past)
 
 
-def table(
-    semigroup: NumericalSemigroup,
-    params: CurveParams,
-    l_min: int = 1,
-    l_max: int | None = None,
-) -> list[CodeTableRow]:
-    """Parameter rows for the dual codes of length N = point count - 1.
+def _table_columns(
+    semigroup: NumericalSemigroup, params: CurveParams, l_min: int, l_max: int
+) -> tuple:
+    """The CodeTableRow fields of the rows l in [l_min, l_max], as columns.
 
     rho, nu and d_ord are slices of the nongap cache and the profile,
     extended past their ends by the laws of nth_nongap and _read.
     """
     length = params.rational_point_count - 1
-    if l_max is None:
-        l_max = 3 * params.genus
     if not 1 <= l_min <= l_max <= length - 1:
         raise ValueError(f"need 1 <= l_min <= l_max <= N-1, got [{l_min}, {l_max}]")
     g = semigroup.genus
     nus, d_ords = _profile(semigroup)
-    columns = zip(
+    return (
         repeat(length),
         range(l_min, l_max + 1),
         range(length - l_min, length - l_max - 1, -1),
@@ -121,4 +116,16 @@ def table(
         _column(nus, l_min, l_max, -g),
         _column(d_ords, l_min, l_max, -g),
     )
+
+
+def table(
+    semigroup: NumericalSemigroup,
+    params: CurveParams,
+    l_min: int = 1,
+    l_max: int | None = None,
+) -> list[CodeTableRow]:
+    """Parameter rows for the dual codes of length N = point count - 1."""
+    if l_max is None:
+        l_max = 3 * params.genus
+    columns = zip(*_table_columns(semigroup, params, l_min, l_max))
     return list(map(tuple.__new__, repeat(CodeTableRow), columns))

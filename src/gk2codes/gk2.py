@@ -13,6 +13,7 @@ InternalConsistencyError immediately.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -157,34 +158,40 @@ def k_max(params: CurveParams, j_plus_l: int) -> int:
 def holomorphic_gap_set(params: CurveParams) -> tuple[int, ...]:
     """Gap set at O2 points, built from the holomorphic-differential family.
 
-    Enumerates the valuations k + (q^n+1)j + l*m + 1 over the admissible
-    triples, asserts the advertised size (= genus) and equality with the
-    complement of the O2 semigroup.  Duplicate valuations would contradict
-    the uniqueness of the triple representation, so they raise.
+    Marks the valuations k + (q^n+1)j + l*m + 1 over the admissible triples
+    in a byte table (for fixed j and l the k form one run, one slice),
+    asserts the advertised size (= genus) and equality with the complement
+    of the O2 semigroup.  Duplicate valuations would contradict the
+    uniqueness of the triple representation, so they raise.
     """
     q, n, m = params.q, params.n, params.m
     budget = params.differential_pole_bound
     qq1 = q**n + 1
-    vals = set()
-    count = 0
+    runs = []
     for l in range(q + 1):
         for j in range(q * q - 1):
             weight = (j + l) * m
             if weight > budget:
                 continue
             kk = min(m - 1, (budget - weight) // (q * q - q))
-            for k in range(kk + 1):
-                vals.add(k + qq1 * j + l * m + 1)
-                count += 1
-    if len(vals) != count:
+            start = qq1 * j + l * m + 1
+            runs.append((start, start + kk + 1))
+    seen = bytearray(max((stop for _, stop in runs), default=0))
+    ones = memoryview(b"\x01" * m)
+    count = 0
+    for start, stop in runs:
+        seen[start:stop] = ones[:stop - start]
+        count += stop - start
+    distinct = seen.count(1)  # a valuation met twice is marked once
+    if distinct != count:
         raise InternalConsistencyError(
-            f"duplicate gap valuations for q={q}, n={n}: {count} triples, {len(vals)} values"
+            f"duplicate gap valuations for q={q}, n={n}: {count} triples, {distinct} values"
         )
-    if len(vals) != params.genus:
+    if distinct != params.genus:
         raise InternalConsistencyError(
-            f"gap family size {len(vals)} != genus {params.genus} for q={q}, n={n}"
+            f"gap family size {distinct} != genus {params.genus} for q={q}, n={n}"
         )
-    gaps = tuple(sorted(vals))
+    gaps = tuple(compress(range(len(seen)), seen))
     if gaps != semigroup_o2(params).gaps:
         raise InternalConsistencyError(
             f"differential gap set != O2 semigroup complement for q={q}, n={n}"

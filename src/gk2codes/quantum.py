@@ -57,25 +57,44 @@ def range_high_degree(params: CurveParams, index: int) -> QuantumRange:
     return _high_degree_rows(length, g, index, index)[0]
 
 
-def _high_degree_rows(length: int, g: int, l_min: int, l_max: int) -> list[QuantumRange]:
-    """High-degree ranges for l in [l_min, l_max], built column by column.
+def _high_degree_columns(length: int, g: int, l_min: int, l_max: int) -> tuple:
+    """The QuantumRange fields of the high-degree rows l in [l_min, l_max], as columns.
 
-    Every column is a progression in l, so the records are made by
-    ``tuple.__new__`` over zipped ranges, with no Python call per row.
+    Every column is a progression in l (a ``range``) or a run of one value.
     """
     # s_max = N - 2l >= 1 exactly for l <= (N - 1) // 2; past that the range is empty
     split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
-    notes = chain(repeat(None, split - l_min), repeat("empty range", l_max + 1 - split))
-    columns = zip(
+    return (
         repeat(length),
         range(l_min, l_max + 1),
         range(l_min + 1 - g, l_max + 2 - g),
         repeat(1),
         range(length - 2 * l_min, length - 2 * l_max - 1, -2),
         repeat(REGIME_HIGH_DEGREE),
-        notes,
+        chain(repeat(None, split - l_min), repeat("empty range", l_max + 1 - split)),
     )
+
+
+def _high_degree_rows(length: int, g: int, l_min: int, l_max: int) -> list[QuantumRange]:
+    """High-degree ranges for l in [l_min, l_max], zipped from their columns.
+
+    The records are made by ``tuple.__new__``, with no Python call per row.
+    """
+    columns = zip(*_high_degree_columns(length, g, l_min, l_max))
     return list(map(tuple.__new__, repeat(QuantumRange), columns))
+
+
+def _reference_note(reference_row: dict[str, int] | None, d: int, s_min: int,
+                    s_max: int) -> str | None:
+    """How a range (d, s_min, s_max) differs from its published row; None if it does not."""
+    if reference_row is None:
+        return None
+    diffs = [
+        f"{key} computed {have} != published {reference_row[key]}"
+        for key, have in (("d_ord", d), ("s_min", s_min), ("s_max", s_max))
+        if reference_row.get(key) != have
+    ]
+    return "; ".join(diffs) if diffs else None
 
 
 def range_order_bound(
@@ -97,16 +116,26 @@ def range_order_bound(
     d = d_ord(semigroup, index)
     s_min = max(2 * g - index, 1)
     s_max = min(length - 2 * index, length - index - g + 1 - d)
-    note = None
-    if reference_row is not None:
-        diffs = [
-            f"{key} computed {have} != published {reference_row[key]}"
-            for key, have in (("d_ord", d), ("s_min", s_min), ("s_max", s_max))
-            if reference_row.get(key) != have
-        ]
-        if diffs:
-            note = "; ".join(diffs)
+    note = _reference_note(reference_row, d, s_min, s_max)
     return QuantumRange(length, index, d, s_min, s_max, REGIME_ORDER_BOUND, note)
+
+
+def _window(
+    params: CurveParams, l_min: int | None, l_max: int | None, regime: str
+) -> tuple[int, int]:
+    """The checked [l_min, l_max] of a table; None stands for the regime's end."""
+    g = params.genus
+    if regime == REGIME_ORDER_BOUND:
+        lo, hi = g, 3 * g - 1
+    elif regime == REGIME_HIGH_DEGREE:
+        lo, hi = 3 * g - 1, params.rational_point_count - 1 - g
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    l_min = lo if l_min is None else l_min
+    l_max = hi if l_max is None else l_max
+    if not lo <= l_min <= l_max <= hi:
+        raise ValueError(f"need {lo} <= l_min <= l_max <= {hi}, got [{l_min}, {l_max}]")
+    return l_min, l_max
 
 
 def quantum_table(
@@ -117,18 +146,7 @@ def quantum_table(
     regime: str = REGIME_ORDER_BOUND,
 ) -> list[QuantumRange]:
     """Ranges for consecutive l; defaults to the full regime interval."""
-    g = params.genus
-    length = params.rational_point_count - 1
-    if regime == REGIME_ORDER_BOUND:
-        lo, hi = g, 3 * g - 1
-    elif regime == REGIME_HIGH_DEGREE:
-        lo, hi = 3 * g - 1, length - g
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    l_min = lo if l_min is None else l_min
-    l_max = hi if l_max is None else l_max
-    if not lo <= l_min <= l_max <= hi:
-        raise ValueError(f"need {lo} <= l_min <= l_max <= {hi}, got [{l_min}, {l_max}]")
+    l_min, l_max = _window(params, l_min, l_max, regime)
     if regime == REGIME_ORDER_BOUND:
         return [range_order_bound(params, semigroup, l) for l in range(l_min, l_max + 1)]
-    return _high_degree_rows(length, g, l_min, l_max)
+    return _high_degree_rows(params.rational_point_count - 1, params.genus, l_min, l_max)

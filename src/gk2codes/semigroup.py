@@ -2,8 +2,9 @@
 
 A numerical semigroup here is the set of all non-negative integer
 combinations of a finite generating set with gcd 1.  Construction closes the
-generators on a Python-int bitset up to a bound, doubling the bound until
-min(generators) consecutive members below it prove the conductor.  Every
+generators on a byte table up to a bound (strided slices for the longest
+equally spaced run of generators, shift-or for the rest), doubling the bound
+until min(generators) consecutive members below it prove the conductor.  Every
 query is answered from the two sorted tuples this leaves, gaps and
 nongaps_cached.
 
@@ -18,21 +19,63 @@ from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd
 
-_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def closure_table(generators: tuple[int, ...], bound: int) -> bytearray:
-    """Reachability table for sums of generators on [0, bound], via a bitset."""
-    mask = (1 << (bound + 1)) - 1
-    reach = 1
-    for a in generators:
-        stride = a  # shifts by a, 2a, 4a, ... add every multiple of a up to the bound
+def _longest_run(gens: list[int]) -> tuple[int, int]:
+    """(start, stop) of the longest equally spaced stretch of the sorted gens."""
+    best, start = (0, 1), 0
+    for i in range(2, len(gens) + 1):
+        if gens[i - 1] - gens[i - 2] != gens[start + 1] - gens[start]:
+            start = i - 2
+        if i - start > best[1] - best[0]:
+            best = (start, i)
+    return best
+
+
+def _run_sums(run: list[int], bound: int) -> bytearray:
+    """Reachability table on [0, bound] for sums of the run a, a + d, ..., a + sd.
+
+    Its k-fold sums are exactly ka + jd for 0 <= j <= ks: one strided slice
+    per k.
+    """
+    a = run[0]
+    table = bytearray(bound + 1)
+    if len(run) == 1:  # the multiples of a
+        table[::a] = b"\x01" * (bound // a + 1)
+        return table
+    d, s = run[1] - a, len(run) - 1
+    ones = memoryview(b"\x01" * (bound // d + 1))
+    for k in range(bound // a + 1):
+        last = min(k * (a + s * d), bound)
+        table[k * a:last + 1:d] = ones[:(last - k * a) // d + 1]
+    return table
+
+
+def closure_table(generators, bound: int) -> bytearray:
+    """Reachability table for sums of generators on [0, bound].
+
+    The longest equally spaced run of the sorted generators is summed by
+    strided slices; the paper's orbit generators are such a run but for one
+    element.  The other generators are added by shift-or on the table read as
+    an int, one byte per value, so no shift carries from one value into the
+    next.
+    """
+    gens = sorted(set(generators))
+    start, stop = _longest_run(gens)
+    table = _run_sums(gens[start:stop], bound)
+    rest = gens[:start] + gens[stop:]
+    if not rest:
+        return table
+    reach = int.from_bytes(table, "little")
+    for g in rest:
+        stride = g  # shifts by g, 2g, 4g, ... add every multiple of g up to the bound
         while stride <= bound:
-            reach |= (reach << stride) & mask
+            # only the values that stay within the bound are shifted
+            reach |= (reach & ((1 << 8 * (bound + 1 - stride)) - 1)) << 8 * stride
             stride <<= 1
-    # bit v of reach becomes byte v of the table
-    return bytearray(format(reach, f"0{bound + 1}b")[::-1], "ascii").translate(_ASCII_BITS)
+    table[:] = reach.to_bytes(bound + 1, "little")
+    return table
 
 
 class NumericalSemigroup:

@@ -6,8 +6,6 @@ import os
 import subprocess
 import sys
 import time
-from functools import partial
-from operator import itemgetter
 
 import pytest
 
@@ -389,25 +387,37 @@ def test_streamed_table_matches_former_renderer(capsys, tmp_path, job, fmt):
     assert path.read_bytes() == want.encode()
 
 
-CELLS = [
-    [],
-    [[0, ""]],
-    [[7, 'quote " backslash \\ e-acute \u00e9 percent %s'], [-3, "x"]],
-    [[2, None], [True, 2.5]],  # cells json.dumps writes neither as int nor as str
+CELLS = {
+    "empty": [],
+    "one": [[0, ""]],
+    "escapes": [[7, 'quote " backslash \\ e-acute \u00e9 percent %s'], [-3, "x"]],
+    # cells that are neither int nor str: csv and Markdown write any cell, the
+    # JSON writer only ints and the strs of the columns it is told about
+    "other-types": [[2, None], [True, 2.5]],
     # seven rows: a short last block for blocks of 2, 3 and 4096, exact for 1 and 7
-    [[i, f'%d "{i}" \\ %% \u00e9' * i] for i in range(7)],
-]
+    "seven": [[i, f'%d "{i}" \\ %% \u00e9' * i] for i in range(7)],
+}
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
-@pytest.mark.parametrize("rows", CELLS, ids=["empty", "one", "escapes", "other-types", "seven"])
-@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def _renderer_cases():
+    for fmt in ("csv", "json", "md"):
+        for name, rows in CELLS.items():
+            if fmt == "json" and name == "other-types":
+                continue
+            for block in (1, 2, 3, 7, 4096):
+                yield pytest.param(fmt, rows, block, id=f"{fmt}-{name}-{block}")
+
+
+@pytest.mark.parametrize("fmt, rows, block", _renderer_cases())
 def test_table_renderer_matches_former_renderer(monkeypatch, fmt, rows, block):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
     headers, meta = ["k", "note %d"], {"command": "t", "q": 2, "note": "\u00e9"}
-    columns = {h: partial(map, itemgetter(i)) for i, h in enumerate(headers)}
+    cols = list(zip(*rows)) or [(), ()]
+    text = [h for h, col in zip(headers, cols) if col and all(type(c) is str for c in col)]
+    # one pass over each column: the writer gets iterators, not sequences
+    columns = {h: iter(col) for h, col in zip(headers, cols)}
     buf = io.StringIO()
-    cli._table(fmt, meta, [tuple(r) for r in rows], columns)(buf)
+    cli._table(fmt, meta, len(rows), columns, text=text)(buf)
     assert buf.getvalue() == _render_table(fmt, meta, headers, rows)
 
 
@@ -420,6 +430,44 @@ def test_payload_output_is_the_rendered_payload(capsys, tmp_path, fmt):
     path = tmp_path / "p.out"
     assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
     assert path.read_bytes() == want.encode()
+
+
+def test_high_degree_cli_builds_no_records(capsys, monkeypatch):
+    argv = ("quantum-table", "--q", "2", "--n", "5", "--orbit", "O1", "--regime", "high-degree",
+            "--lmin", "1900", "--lmax", "2100")
+    want = _oracle_table("quantum-table", 2, 5, "O1", "json", lmin=1900, lmax=2100,
+                         regime=quantum.REGIME_HIGH_DEGREE)
+
+    def no_records(*args):
+        raise AssertionError("the high-degree CLI path built QuantumRange records")
+
+    monkeypatch.setattr(quantum, "_high_degree_rows", no_records)
+    monkeypatch.setattr(quantum, "range_high_degree", no_records)
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("lmin, lmax", [(5, 40), (40, 30), (None, 10000)])
+def test_high_degree_window_rejected_with_its_message(capsys, lmin, lmax):
+    # (2, 3): g = 10, N = 224, so the high-degree regime is [29, 214]
+    argv = ["quantum-table", "--q", "2", "--n", "3", "--orbit", "O1", "--regime", "high-degree"]
+    for key, value in (("--lmin", lmin), ("--lmax", lmax)):
+        if value is not None:
+            argv += [key, str(value)]
+    shown = [29 if lmin is None else lmin, 214 if lmax is None else lmax]
+    assert run_cli(capsys, *argv) == (
+        1, "", f"usage error: need 29 <= l_min <= l_max <= 214, got {shown}\n")
+
+
+def test_reference_notes_cost_no_second_pass(capsys, monkeypatch):
+    # (2, 5) has published quantum rows: the notes go onto the 2g rows that
+    # quantum_table built, so d_ord runs once per row
+    calls = []
+    d_ord = quantum.d_ord
+    monkeypatch.setattr(quantum, "d_ord", lambda *args: calls.append(args) or d_ord(*args))
+    code, out, _ = run_cli(capsys, "quantum-table", "--q", "2", "--n", "5", "--orbit", "O1")
+    assert code == 0
+    assert len(calls) == 2 * 46
+    assert out == _oracle_table("quantum-table", 2, 5, "O1", "json")
 
 
 def test_high_degree_table_golden_bytes(capsys):

@@ -89,6 +89,68 @@ def test_gap_set_equals_complement(q, n):
     assert gaps == semigroup_o2(params).gaps
 
 
+def holomorphic_gap_set_on_a_set(params):
+    """Oracle: the former gap family, collected in a Python set."""
+    q, n, m = params.q, params.n, params.m
+    budget = params.differential_pole_bound
+    qq1 = q**n + 1
+    vals = set()
+    count = 0
+    for l in range(q + 1):
+        for j in range(q * q - 1):
+            weight = (j + l) * m
+            if weight > budget:
+                continue
+            kk = min(m - 1, (budget - weight) // (q * q - q))
+            for k in range(kk + 1):
+                vals.add(k + qq1 * j + l * m + 1)
+                count += 1
+    if len(vals) != count:
+        raise InternalConsistencyError(
+            f"duplicate gap valuations for q={q}, n={n}: {count} triples, {len(vals)} values"
+        )
+    if len(vals) != params.genus:
+        raise InternalConsistencyError(
+            f"gap family size {len(vals)} != genus {params.genus} for q={q}, n={n}"
+        )
+    gaps = tuple(sorted(vals))
+    if gaps != semigroup_o2(params).gaps:
+        raise InternalConsistencyError(
+            f"differential gap set != O2 semigroup complement for q={q}, n={n}"
+        )
+    return gaps
+
+
+def _outcome(fn, params):
+    try:
+        return fn(params)
+    except InternalConsistencyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q,n", SWEEP + [(2, 9), (3, 7), (4, 5), (5, 3), (5, 5)])
+def test_gap_set_matches_set_oracle(q, n):
+    params = curve_params(q, n)
+    assert holomorphic_gap_set(params) == holomorphic_gap_set_on_a_set(params)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": 3},  # q^n + 1 too small: the valuation runs overlap
+        {"differential_pole_bound": 20},  # too few valuations (the true bound is 30)
+        {"differential_pole_bound": 200},  # too many
+        {"genus": 45},
+    ],
+    ids=["duplicates", "small-budget", "large-budget", "genus"],
+)
+def test_gap_set_failures_match_set_oracle(change):
+    params = curve_params(2, 5)._replace(**change)
+    want = _outcome(holomorphic_gap_set_on_a_set, params)
+    assert isinstance(want, str)
+    assert _outcome(holomorphic_gap_set, params) == want
+
+
 def test_gap_set_small_examples():
     p25 = curve_params(2, 5)
     gaps25 = holomorphic_gap_set(p25)

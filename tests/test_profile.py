@@ -1,16 +1,16 @@
-"""The one-squaring Feng-Rao profile and the bitset closure against their slow oracles.
+"""The one-squaring Feng-Rao profile and the run-slice closure against their slow oracles.
 
 The oracles are the former implementations: a fresh O(rho) scan per nu value,
 d_ord as a suffix scan of those values up to the tail start 3g, the table
-built from them, the bytearray dynamic-programming closure, and the
-per-index readout of the gap sieve.
+built from them, the bytearray dynamic-programming closure, the all-shift
+bitset closure, and the per-index readout of the gap sieve.
 """
 
 from functools import cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gk2codes.fengrao import CodeTableRow, d_ord, nu, table
@@ -27,6 +27,21 @@ def closure_table_dp(generators, bound):
             if reach[v - g]:
                 reach[v] = 1
     return reach
+
+
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def closure_table_shift(generators, bound):
+    """Oracle: the all-shift closure, strides a, 2a, 4a, ... of every generator on an int bitset."""
+    mask = (1 << (bound + 1)) - 1
+    reach = 1
+    for a in generators:
+        stride = a
+        while stride <= bound:
+            reach |= (reach << stride) & mask
+            stride <<= 1
+    return bytearray(format(reach, f"0{bound + 1}b")[::-1], "ascii").translate(_ASCII_BITS)
 
 
 def sieve_readout_scan(gens):
@@ -138,6 +153,53 @@ def test_profile_of_the_naturals():
 def test_bitset_closure_matches_dp(gens, bound):
     gens = tuple(sorted(set(gens)))
     assert closure_table(gens, bound) == closure_table_dp(gens, bound)
+
+
+@st.composite
+def run_generator_sets(draw):
+    """(generators, bound): an equally spaced run among other generators.
+
+    The others lie above the run, below it or on both sides; the list comes
+    shuffled, with some entries repeated.
+    """
+    a, d, s = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 3, 7, 12])), draw(st.integers(0, 8))
+    run = [a + j * d for j in range(s + 1)]
+    where = draw(st.sampled_from(["start", "middle", "end", "alone"]))
+    below = draw(st.lists(st.integers(1, a), max_size=3)) if where in ("middle", "end") else []
+    above = (draw(st.lists(st.integers(run[-1], 150), max_size=3))
+             if where in ("start", "middle") else [])
+    gens = run + below + above
+    gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    return draw(st.permutations(gens)), draw(st.integers(0, 400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_generator_sets())
+@example(([5, 7, 9, 11, 30], 200))  # a run at the start
+@example(([3, 10, 13, 16, 19, 40], 200))  # a run in the middle
+@example(([4, 20, 21, 22, 23], 200))  # a step-1 run at the end
+@example(([7, 8, 9, 10], 300))  # the run alone
+@example(([4, 6, 8, 21, 26, 31], 300))  # two runs of three
+@example(([7], 100))  # a single generator
+@example(([9, 3, 6, 3, 9, 12, 5], 150))  # duplicates, unsorted
+@example(([10, 12, 14], 5))  # a bound below the smallest generator
+@example(([10, 12, 14, 31], 0))  # a bound of 0
+def test_run_closure_matches_all_shift_closure(job):
+    gens, bound = job
+    assert closure_table(gens, bound) == closure_table_shift(sorted(set(gens)), bound)
+
+
+ORBIT_RUNGS = [(2, 3), (2, 5), (2, 7), (2, 9), (3, 3), (3, 5), (3, 7), (3, 9),
+               (4, 3), (4, 5), (4, 7), (5, 3), (5, 5)]
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+@pytest.mark.parametrize("qn", ORBIT_RUNGS)
+def test_run_closure_matches_all_shift_closure_on_orbit_generators(qn, orbit):
+    params = curve_params(*qn)
+    gens = (o1_generators if orbit == "O1" else o2_generators)(params)
+    bound = 2 * params.genus + 2 * gens[0] + 1  # the sieve bound of semigroup_o1 and _o2
+    assert closure_table(gens, bound) == closure_table_shift(gens, bound)
 
 
 def test_bitset_closure_on_orbit_generators():

@@ -1,3 +1,4 @@
+import re
 from functools import cache
 
 import pytest
@@ -10,6 +11,8 @@ from gk2codes.quantum import (
     REGIME_HIGH_DEGREE,
     REGIME_ORDER_BOUND,
     QuantumRange,
+    _high_degree_columns,
+    _window,
     quantum_table,
     range_high_degree,
     range_order_bound,
@@ -150,3 +153,32 @@ def test_high_degree_table_matches_per_row_oracle(job):
     assert rows == want
     assert rows == [range_high_degree(params, l) for l in range(l_min, l_max + 1)]
     assert all(type(r) is QuantumRange for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(high_degree_ranges())
+@example((2, 3, 29, 214))
+@example((2, 3, 111, 113))
+@example((2, 3, 214, 214))
+def test_high_degree_columns_zip_to_the_table(job):
+    q, n, l_min, l_max = job
+    params, sg = _curve(q, n)
+    columns = _high_degree_columns(params.rational_point_count - 1, params.genus, l_min, l_max)
+    rows = quantum_table(params, sg, l_min, l_max, regime=REGIME_HIGH_DEGREE)
+    assert list(zip(*columns)) == rows
+
+
+@pytest.mark.parametrize("regime", [REGIME_ORDER_BOUND, REGIME_HIGH_DEGREE])
+def test_window_defaults_and_rejections(p25, s1, regime):
+    g, length = p25.genus, p25.rational_point_count - 1
+    lo, hi = (g, 3 * g - 1) if regime == REGIME_ORDER_BOUND else (3 * g - 1, length - g)
+    assert _window(p25, None, None, regime) == (lo, hi)
+    assert _window(p25, lo + 1, None, regime) == (lo + 1, hi)
+    for l_min, l_max in ((lo - 1, hi), (lo, hi + 1), (lo + 2, lo + 1)):
+        message = f"need {lo} <= l_min <= l_max <= {hi}, got [{l_min}, {l_max}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _window(p25, l_min, l_max, regime)
+        with pytest.raises(ValueError, match="l_min <= l_max"):
+            quantum_table(p25, s1, l_min, l_max, regime=regime)
+    with pytest.raises(ValueError, match="unknown regime"):
+        _window(p25, None, None, "other")
