@@ -20,9 +20,9 @@ x = g^{j + k s}, k = 0..q:
 
 Subtracting 1 changes only the constant coefficient, so u - 1 and c - 1 are
 two digit operations on the serialized integer.  The walk yields one
-(x, ly, lw) per nonempty x-fiber.  Enumeration sorts these records by x and
-expands each into its y_i, sorted, and, where m divides lw + i s (m divides
-o), into the m-th roots z = g^{(lw + i s)/m + t o/m}, t < m, sorted.  The
+(x, log x, ly, lw) per nonempty x-fiber.  Enumeration sorts these records by
+x and expands each into its y_i, sorted, and, where m divides lw + i s (m
+divides o), into the m-th roots z = g^{(lw + i s)/m + t o/m}, t < m, sorted.  The
 census counts one point per ramified x, q+1 per w = 0 fiber, and m per y_i
 with m | lw + i s, read from a table over lw mod m.  The q+1 points at
 infinity carry a (q+1)-st root of unity as coordinate.
@@ -90,9 +90,10 @@ def small_field_elements(params: CurveParams, ctx: GfContext) -> frozenset[int]:
 
 
 def _fibers(params: CurveParams, ctx: GfContext):
-    """Yield (x, ly, lw) per nonempty affine x-fiber, grouped by x^{q+1}.
+    """Yield (x, lx, ly, lw) per nonempty affine x-fiber, grouped by x^{q+1}.
 
-    ly is None for the q+1 ramified x, whose fiber is the point (x, 0, 0).
+    lx = log x is None for x = 0.  ly is None for the q+1 ramified x, whose
+    fiber is the point (x, 0, 0).
     Otherwise the fiber's y are g^(ly + i step), i = 0..q, with
     step = (order - 1)/(q + 1), and lw is None where w = 0 on the whole fiber
     (the O2 fibers), else log w = lw + i step at the i-th y.  The module
@@ -102,7 +103,7 @@ def _fibers(params: CurveParams, ctx: GfContext):
     p, n = ctx.p, ctx.order - 1
     step = n // q1
     exp, log = ctx._exp, ctx._log
-    yield 0, log[p - 1] // q1, None
+    yield 0, None, log[p - 1] // q1, None
     for j in range(step):
         u = exp[q1 * j]  # x^{q+1} for the q+1 values x = g^(j + k step)
         if u == 1:
@@ -115,7 +116,8 @@ def _fibers(params: CurveParams, ctx: GfContext):
             c = exp[q2m1 * j % n]  # x^{q^2-1}
             lw = None if c == 1 else ly + j + log[c - c % p + (c - 1) % p] - ld
         for k in range(q1):
-            yield exp[j + k * step], ly, None if lw is None else (lw + k * step) % n
+            lx = j + k * step
+            yield exp[lx], lx, ly, None if lw is None else (lw + k * step) % n
 
 
 def iter_points(params: CurveParams, ctx: GfContext):
@@ -124,7 +126,7 @@ def iter_points(params: CurveParams, ctx: GfContext):
     n = ctx.order - 1
     exp = ctx._exp
     ystep, zstep = n // q1, n // m
-    for x, ly, lw in sorted(_fibers(params, ctx)):
+    for x, _, ly, lw in sorted(_fibers(params, ctx)):
         if ly is None:
             yield CurvePoint("affine", x, 0, 0, None, ORBIT_SMALL_AFFINE)
             continue
@@ -177,7 +179,7 @@ def census(params: CurveParams, ctx: GfContext) -> PointCensus:
     # hits[r]: how many of r, r + step, ..., r + q step m divides (m | order - 1)
     hits = [sum((r + k * step) % m == 0 for k in range(q1)) for r in range(m)]
     o2 = generic = 0
-    for _, ly, lw in _fibers(params, ctx):
+    for _, _, ly, lw in _fibers(params, ctx):
         if lw is not None:
             generic += hits[lw % m]
         else:
@@ -359,8 +361,12 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     and den nonzero the value z^a num^e / den^d of `eval_basis` is
     g^(a log z + e log num - d log den), g the field's generator, so each
     point contributes its three logs once and each basis function its three
-    exponents once.  Entries at the infinite points and where z, num or den
-    is 0 come from `eval_basis`.
+    exponents once.  One pass of `_fibers` gives the logs in the order of
+    `evaluation_points`: per generic (x, y) the m log z, sorted by z, and
+    log num and log den once (x - 1 by a digit operation, x + y or y - a by
+    XOR for p = 2, else by a Zech addition).  The q^3 points with z = 0 or at
+    infinity other than the base point, and any where num or den is 0, take
+    their entries from `eval_basis`.  The walk's point counts are checked.
 
     While the count-th pole order rho_count is below N, the first i rows
     evaluate a basis of L(rho_i P) for every i, so the rank profile must be
@@ -371,28 +377,66 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     so a prefix with profile 1..count proves the full profile, and a failing
     matrix fails at every K, including K >= N, the full-width check.
     """
+    from array import array
     from sys import byteorder
 
     base = distinguished_point(params, ctx, orbit)
-    points = evaluation_points(params, ctx, orbit)
+    base_key = base.sort_key()
     sg = orbit_semigroup(params, orbit)
     basis = build_basis(params, orbit, count, semigroup=sg)
-    exp, log = ctx._exp, ctx._log
+    q1, m = params.q + 1, params.m
+    p, exp, log = ctx.p, ctx._exp, ctx._log
     n = ctx.order - 1
-    # the points' log z, log num and -log den in 8-byte slots of one integer
-    # each, so a row's exponents are one integer combination; with the row's
-    # coefficients reduced mod n every slot stays below 3 n^2 < 2^64
-    width = 8 * len(points)
-    slots = [memoryview(bytearray(width)).cast("Q") for _ in range(3)]
-    special = []
-    for j, pt in enumerate(points):
-        z = pt.z or 0  # None at the infinite points
-        num, den = _num_den(ctx, orbit, pt, base) if z else (0, 0)
-        if not (num and den):
-            special.append(j)  # entries from eval_basis
+    ystep, zstep = n // q1, n // m
+    is_o1 = orbit == ORBIT_INFINITE
+    zech = ctx._zech_table()  # None for p = 2
+    neg_a = ctx.neg(base.y) if not is_o1 else 0  # den = y + (-a) for O2
+    # the columns log z, log num and -log den, each read as 8-byte slots of
+    # one integer, so a row's exponents are one integer combination; with the
+    # row's coefficients reduced mod n every slot stays below 3 n^2 < 2^64
+    cols = col_z, col_num, col_den = array("Q"), array("Q"), array("Q")
+    special = []  # (column, point) for the entries from eval_basis
+
+    def hold(points):
+        for pt in points:
+            if pt.sort_key() != base_key:
+                special.append((len(col_z), pt))
+                for col in cols:
+                    col.append(0)
+
+    o2 = generic = 0
+    for x, lx, ly, lw in sorted(_fibers(params, ctx)):
+        if lw is None:  # the point (x, 0, 0) of a ramified x, or a w = 0 fiber
+            ys = [0] if ly is None else sorted(exp[k] for k in range(ly, n, ystep))
+            o2 += len(ys)
+            hold(CurvePoint("affine", x, y, 0, None, ORBIT_SMALL_AFFINE) for y in ys)
             continue
-        slots[0][j], slots[1][j], slots[2][j] = log[z], log[num], n - log[den]
-    log_z, log_num, log_den_inv = (int.from_bytes(s, byteorder) for s in slots)
+        s = x if is_o1 else neg_a
+        ls = log[s]
+        lnum = log[x - x % p + (x - 1) % p] if is_o1 else lx  # x - 1: digit 0 only
+        for lyi in sorted(range(ly, n, ystep), key=exp.__getitem__):
+            l = (lw - ly + lyi) % n
+            if l % m:  # m | order - 1: w has m roots or none
+                continue
+            generic += m
+            lzs = sorted(range(l // m, n, zstep), key=exp.__getitem__)
+            if zech is None:
+                lden = log[s ^ exp[lyi]]
+            else:
+                z = zech[lyi - ls]  # a negative index wraps mod n
+                lden = -1 if z < 0 else (ls + z) % n
+            if lnum < 0 or lden < 0:
+                hold(CurvePoint("affine", x, exp[lyi], exp[lz], None, ORBIT_GENERIC) for lz in lzs)
+                continue
+            col_z.extend(lzs)
+            col_num.extend([lnum] * m)
+            col_den.extend([n - lden] * m)
+    roots = ctx.nth_roots(ctx.one, q1)
+    hold(CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE) for a in roots)
+    _check_census(params, PointCensus(len(roots) + o2 + generic, len(roots), o2, generic))
+
+    width = 8 * len(col_z)
+    log_z, log_num, log_den_inv = (int.from_bytes(col, byteorder) for col in cols)
     matrix = []
     for fn in basis:
         main, e = fn.exponents[:-1], fn.exponents[-1]
@@ -400,12 +444,12 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
         combo = a % n * log_z + e % n * log_num + d % n * log_den_inv
         row = [exp[v % n] for v in memoryview(combo.to_bytes(width, byteorder)).cast("Q")]
         try:
-            for j in special:
-                row[j] = eval_basis(params, ctx, fn, points[j], base=base)
+            for j, pt in special:
+                row[j] = eval_basis(params, ctx, fn, pt, base=base)
         except (PoleEvaluationError, NeedsLocalResolutionError) as exc:
             raise type(exc)(f"row for pole order {fn.pole_order}: {exc}") from exc
         matrix.append(row)
-    if sg.nth_nongap(count) < len(points):
+    if sg.nth_nongap(count) < len(col_z):
         profile = _prefix_rank_profile(ctx, matrix)
         if profile != list(range(1, count + 1)):
             raise InternalConsistencyError(

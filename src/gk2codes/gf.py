@@ -9,7 +9,7 @@ tables.  Multiplication runs on exp/log tables for a verified primitive
 element g.  Addition is XOR in characteristic 2.  In odd characteristic it
 runs on the same tables through Zech logarithms Z(k) = log(1 + g^k), so
 g^i + g^j = g^{i + Z(j - i)}, and negation is multiplication by
--1 = g^{(order-1)/2}.
+-1 = g^{(order-1)/2}.  The Zech table is built on first use.
 
 The exp table is one walk v -> g v.  Multiplying by g is F_p-linear, so g v
 is the digit-wise sum mod p of the images of v's low and high halves of
@@ -19,8 +19,8 @@ characteristic the images are stored in packed b-bit slots, one per digit,
 so one integer addition sums both halves digit by digit, and three lookups
 of a few slots each reduce the slots mod p back to the serialized integer.
 Every table has at most 4096 entries for the even-degree fields of the
-curve layer.  The curve layer reads `_exp` and `_log` directly for its
-log-domain point walk and code-matrix rows.
+curve layer.  The curve layer reads `_exp`, `_log` and `_zech_table()`
+directly for its log-domain point walk and code-matrix columns.
 """
 
 from __future__ import annotations
@@ -188,7 +188,8 @@ class GfContext:
         self.modulus = _smallest_irreducible(p, deg)
         self._pw = [p**i for i in range(deg + 1)]
         self.generator = self._find_generator()
-        self._build_tables()
+        self._exp, self._log = self._exp_walk()
+        self._zech = None  # built by _zech_table on the first addition that needs it
 
     # -- serialization ------------------------------------------------------
 
@@ -232,16 +233,6 @@ class GfContext:
             ):
                 return cand
         raise AssertionError(f"no generator found for F_{self.p}^{self.deg}")
-
-    def _build_tables(self):
-        # a separate frame, so the walk's lookup tables are freed before the Zech pass
-        self._exp, self._log = self._exp_walk()
-        p, n, log = self.p, self.order - 1, self._log
-        # Z(k) = log(1 + g^k); adding 1 changes only digit 0, and log[0] = -1
-        # marks the k with g^k = -1.  Characteristic 2 adds by XOR instead.
-        self._zech = None if p == 2 else [
-            log[e - e % p + (e + 1) % p] for e in islice(self._exp, n)
-        ]
 
     def _exp_walk(self):
         """(exp, log) from the walk v -> g v, exp doubled to length 2(order-1)."""
@@ -302,13 +293,23 @@ class GfContext:
     def one(self) -> int:
         return 1
 
+    def _zech_table(self) -> list[int] | None:
+        """Z(k) = log(1 + g^k) for k < order - 1, built on first call; None for p = 2.
+
+        Adding 1 changes only digit 0, and log[0] = -1 marks the k with g^k = -1.
+        """
+        if self._zech is None and self.p != 2:
+            p, log = self.p, self._log
+            self._zech = [log[e - e % p + (e + 1) % p] for e in islice(self._exp, self.order - 1)]
+        return self._zech
+
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if a == 0 or b == 0:
             return a or b
         la = self._log[a]
-        z = self._zech[self._log[b] - la]  # a negative index wraps mod order - 1
+        z = (self._zech or self._zech_table())[self._log[b] - la]  # a negative index wraps
         return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
@@ -397,25 +398,43 @@ def make_field(p: int, deg: int) -> GfContext:
 def _echelon_ranks(ctx: GfContext, rows: list[list[int]]) -> list[int]:
     """The one elimination: cumulative ranks of the leading i-row submatrices.
 
-    Maintains an echelon basis with normalized pivots; row i is reduced
-    against it and either adds a pivot (rank +1) or vanishes (rank unchanged).
-    The input rows are not modified.
+    Maintains an echelon basis; row i is reduced against it and either adds a
+    pivot (rank +1) or vanishes (rank unchanged).  Echelon rows are kept as
+    logs, -1 for 0, with their pivot's log lp, so a reduction is one table
+    lookup per cell and no method call: v ^ g^(log f - lp + w) on values for
+    p = 2, and g^a + g^b = g^(a + Z(b - a)) on logs for odd p.  The input
+    rows are not modified.
     """
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
+    n, exp, log = ctx.order - 1, ctx._exp, ctx._log
+    zech = ctx._zech_table()  # None in characteristic 2
+    half = n // 2  # log(-1) in odd characteristic
+    echelon: list[tuple[int, int, list[int]]] = []  # (pivot column, lp, logs)
     profile = []
     for row in rows:
-        row = list(row)
-        for prow, pc in zip(echelon, pivots):
-            f = row[pc]
-            if f:
-                row = [ctx.sub(v, ctx.mul(f, pv)) for v, pv in zip(row, prow)]
-        pivot = next((j for j, v in enumerate(row) if v), None)
+        if zech is None:
+            for pc, lp, prow in echelon:
+                f = row[pc]
+                if f:
+                    lf = (log[f] - lp) % n
+                    row = [v ^ exp[lf + w] if w >= 0 else v for v, w in zip(row, prow)]
+            row = [log[v] for v in row]
+        else:
+            row = [log[v] for v in row]
+            for pc, lp, prow in echelon:
+                lf = row[pc]
+                if lf >= 0:
+                    c = (lf + half - lp) % n
+                    row = [
+                        a if w < 0
+                        else (c + w) % n if a < 0
+                        else -1 if (z := zech[(c + w - a) % n]) < 0
+                        else (a + z) % n
+                        for a, w in zip(row, prow)
+                    ]
+        pivot = next((j for j, a in enumerate(row) if a >= 0), None)
         if pivot is not None:
-            inv_p = ctx.inv(row[pivot])
-            echelon.append([ctx.mul(inv_p, v) for v in row])
-            pivots.append(pivot)
-        profile.append(len(pivots))
+            echelon.append((pivot, row[pivot], row))
+        profile.append(len(echelon))
     return profile
 
 

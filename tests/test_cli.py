@@ -140,6 +140,9 @@ MATRIX_SHA256 = {
     (2, 3, "O2", 30): "6d34186524824af8f2b554ea5a06ed7c8de762273c4ed7534d15f35f60faa155",
     (3, 3, "O1", 16): "f6186443bc2e533d7a35ce108067674977993079fa7a4eae53f53fc672657719",
     (3, 3, "O2", 10): "a297312fe1ecf0ee48a6da4b4b0e948f1edda97986c5b8e6fdb3448e000ff80e",
+    (2, 5, "O1", 10): "df3b984180388e699f4771d02d5aeb9dc56a41d398ca86636a5dcb040af16ac4",
+    # the only p = 5 pin: odd-characteristic Zech additions in both den and rank
+    (5, 3, "O2", 3): "4a6b7f607d4cc005e606b80197a85510d5fbbc8e1f6245e62405474d8c47279a",
     # N = 65 024 columns over F_{2^14}
     (2, 7, "O1", 30): "30d70000771d63ac65818c6485e785548e98fa5d3194c4f70d5f87efd70c71aa",
 }

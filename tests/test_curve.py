@@ -5,13 +5,15 @@ oracles: the first walked x -> y-fiber -> z-fiber separately for enumeration
 and census and tagged O2 by testing every coordinate for membership in
 F_{q^2}; the second was one per-x walk with field-method arithmetic that
 yielded one record per y.  Basis evaluation is checked the same way against
-its former form, one branch per orbit, and the log-domain code matrix and
-its column-prefix rank certificate against the per-entry matrix and the
-full-width rank profile.
+its former form, one branch per orbit.  The code matrix, whose columns are
+read off the fiber walk, is checked against its two former forms, one
+eval_basis call per entry and one point record per column, and its
+column-prefix rank certificate against the full-width rank profile.
 """
 
 import io
 import random
+from sys import byteorder
 
 import pytest
 
@@ -33,13 +35,13 @@ from gk2codes.curve import (
     small_field_elements,
     write_matrix,
 )
-from gk2codes.curve import _prefix_rank_profile
+from gk2codes.curve import _num_den, _prefix_rank_profile
 from gk2codes.errors import (
     InternalConsistencyError,
     NeedsLocalResolutionError,
     PoleEvaluationError,
 )
-from gk2codes.gf import make_field, matrix_rank, rank_profile
+from gk2codes.gf import GfContext, make_field, matrix_rank, rank_profile
 from gk2codes.gk2 import curve_params, orbit_semigroup
 
 
@@ -419,7 +421,7 @@ def _per_entry_matrix_oracle(params, ctx, orbit, count):
 @pytest.mark.parametrize(
     "q,n,orbit,l",
     [(2, 3, "O1", 30), (2, 3, "O2", 30), (3, 3, "O1", 16), (3, 3, "O2", 10),
-     (2, 5, "O2", 30), (4, 3, "O1", 10)],
+     (2, 5, "O2", 30), (4, 3, "O1", 10), (2, 5, "O1", 10), (3, 3, "O1", 10)],
 )
 def test_log_domain_matrix_matches_per_entry_oracle(q, n, orbit, l):
     params = curve_params(q, n)
@@ -427,6 +429,79 @@ def test_log_domain_matrix_matches_per_entry_oracle(q, n, orbit, l):
     m = code_matrix(params, ctx, orbit, l)
     assert m == _per_entry_matrix_oracle(params, ctx, orbit, l)
     assert _prefix_rank_profile(ctx, m) == rank_profile(ctx, m) == list(range(1, l + 1))
+
+
+def _per_point_matrix_oracle(params, ctx, orbit, count):
+    """Oracle: the former code matrix, one point record and one _num_den per column.
+
+    The columns' log z, log num and -log den go into 8-byte slots of one
+    integer each, and each row is one integer combination of the three.
+    """
+    base = distinguished_point(params, ctx, orbit)
+    points = evaluation_points(params, ctx, orbit)
+    exp, log = ctx._exp, ctx._log
+    n = ctx.order - 1
+    width = 8 * len(points)
+    slots = [memoryview(bytearray(width)).cast("Q") for _ in range(3)]
+    special = []
+    for j, pt in enumerate(points):
+        z = pt.z or 0  # None at the infinite points
+        num, den = _num_den(ctx, orbit, pt, base) if z else (0, 0)
+        if not (num and den):
+            special.append(j)
+            continue
+        slots[0][j], slots[1][j], slots[2][j] = log[z], log[num], n - log[den]
+    log_z, log_num, log_den_inv = (int.from_bytes(s, byteorder) for s in slots)
+    matrix = []
+    for fn in build_basis(params, orbit, count):
+        main, e = fn.exponents[:-1], fn.exponents[-1]
+        a, d = sum(i * ei for i, ei in enumerate(main)), sum(main) + e
+        combo = a % n * log_z + e % n * log_num + d % n * log_den_inv
+        row = [exp[v % n] for v in memoryview(combo.to_bytes(width, byteorder)).cast("Q")]
+        for j in special:
+            row[j] = eval_basis(params, ctx, fn, points[j], base=base)
+        matrix.append(row)
+    return matrix
+
+
+# p = 5 catches an O2 den of y + a for y - a, and every case a z-block out
+# of serialized order; (2, 3, O2) at l = N is past the rank check
+@pytest.mark.parametrize(
+    "q,n,orbit,l",
+    [(5, 3, "O2", 5), (4, 3, "O2", 12), (2, 5, "O1", 10), (2, 7, "O1", 3), (2, 3, "O2", 224)],
+)
+def test_walk_matrix_matches_per_point_oracle(q, n, orbit, l):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    assert code_matrix(params, ctx, orbit, l) == _per_point_matrix_oracle(params, ctx, orbit, l)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+def test_code_matrix_evaluates_only_special_points(monkeypatch, q, n, orbit):
+    # the q^3 points with z = 0 or at infinity, less the base point, per row
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    calls = []
+    real = curve_mod.eval_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curve_mod, "eval_basis", counting)
+    l = 10
+    code_matrix(params, ctx, orbit, l)
+    assert len(calls) == l * q**3
+    assert all(pt.kind == "infinity" or pt.z == 0 for pt in calls)
+
+
+def test_census_leaves_zech_table_unbuilt():
+    params = curve_params(3, 5)
+    ctx = GfContext(3, 10)  # a fresh context: the cached one may have added already
+    census(params, ctx)
+    assert ctx._zech is None
+    assert ctx.add(1, 1) == 2 and ctx._zech is not None
 
 
 @pytest.mark.parametrize("p,deg", [(2, 6), (3, 2)])

@@ -42,6 +42,24 @@ def _gauss_jordan_rank(ctx, rows):
     return rank
 
 
+def _method_call_echelon_oracle(ctx, rows):
+    """Oracle: the former elimination, one ctx.sub/ctx.mul call per cell."""
+    echelon, pivots, profile = [], [], []
+    for row in rows:
+        row = list(row)
+        for prow, pc in zip(echelon, pivots):
+            f = row[pc]
+            if f:
+                row = [ctx.sub(v, ctx.mul(f, pv)) for v, pv in zip(row, prow)]
+        pivot = next((j for j, v in enumerate(row) if v), None)
+        if pivot is not None:
+            inv_p = ctx.inv(row[pivot])
+            echelon.append([ctx.mul(inv_p, v) for v in row])
+            pivots.append(pivot)
+        profile.append(len(pivots))
+    return profile
+
+
 def _digit_add(ctx, a, b):
     """Oracle: the former odd-characteristic addition, one base-p digit at a time."""
     out = 0
@@ -115,7 +133,7 @@ def _poly_exp_walk_oracle(ctx):
 )
 def test_exp_walk_matches_polynomial_oracle(p, deg):
     f = GfContext(p, deg)
-    assert (f._exp, f._log, f._zech) == _poly_exp_walk_oracle(f)
+    assert (f._exp, f._log, f._zech_table()) == _poly_exp_walk_oracle(f)
 
 
 def test_prime_field():
@@ -324,13 +342,18 @@ def test_matrix_rank_odd_characteristic():
     assert matrix_rank(f, rows) == 5
 
 
-def _random_rows(ctx, rng, nrows, ncols):
-    """Random rows mixed with zero rows, repeats and combinations of earlier rows."""
+def _random_rows(ctx, rng, nrows, ncols, zero_frac=0.0):
+    """Random rows mixed with zero rows, repeats and combinations of earlier rows.
+
+    About zero_frac of the random rows' cells are 0.
+    """
     rows = []
     for _ in range(nrows):
         kind = rng.randrange(4) if rows else rng.randrange(2)
         if kind == 0:
             row = [rng.randrange(ctx.order) for _ in range(ncols)]
+            if zero_frac:
+                row = [0 if rng.random() < zero_frac else v for v in row]
         elif kind == 1:
             row = [0] * ncols
         elif kind == 2:
@@ -356,4 +379,22 @@ def test_rank_matches_gauss_jordan_oracle(p, deg):
         assert rank_profile(f, rows) == [
             _gauss_jordan_rank(f, rows[: i + 1]) for i in range(nrows)
         ]
+        assert rows == snapshot
+
+
+@pytest.mark.parametrize("p,deg", [(2, 6), (3, 2), (3, 6), (5, 2), (7, 2)])
+def test_log_domain_elimination_matches_method_call_oracle(p, deg):
+    f = make_field(p, deg)
+    rng = random.Random(p * 1000 + deg)
+    shapes = [(r, c) for r in range(9) for c in range(1, 13)]
+    for (nrows, ncols), zero_frac in product(shapes, (0.0, 0.3)):
+        rows = _random_rows(f, rng, nrows, ncols, zero_frac)
+        for col in rng.sample(range(ncols), rng.randint(0, ncols // 3)):  # zero columns
+            for row in rows:
+                row[col] = 0
+        snapshot = [list(r) for r in rows]
+        profile = _method_call_echelon_oracle(f, rows)
+        assert rank_profile(f, rows) == profile
+        assert profile == [_gauss_jordan_rank(f, rows[: i + 1]) for i in range(nrows)]
+        assert matrix_rank(f, rows) == (profile[-1] if profile else 0)
         assert rows == snapshot
