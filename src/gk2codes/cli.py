@@ -217,7 +217,7 @@ def _cmd_semigroup(args):
         "genus": sg.genus,
         "conductor": sg.conductor,
         "symmetric": sg.is_symmetric(),
-        "first_nongaps": [sg.nth_nongap(i) for i in range(1, 21)],
+        "first_nongaps": sg.first_nongaps(20),
     }
     return _text(_render_payload(args.format, payload))
 

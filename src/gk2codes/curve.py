@@ -261,8 +261,7 @@ def build_basis(
     sg = semigroup if semigroup is not None else orbit_semigroup(params, orbit)
     weights = generator_pole_orders(params, orbit)
     out = []
-    for i in range(1, count + 1):
-        rho = sg.nth_nongap(i)
+    for rho in sg.first_nongaps(count):
         exps = _lex_min_exponents(rho, weights)
         if exps is None:
             raise InternalConsistencyError(

@@ -37,14 +37,17 @@ class CodeTableRow(NamedTuple):
     d_ord: int
 
 
-def _gap_pair_counts(gaps: tuple[int, ...], conductor: int) -> memoryview:
-    """GG(r) for r in [0, 2c - 2]: ordered gap pairs summing to r."""
+def _gap_pair_counts(gap_bytes: bytes, genus: int) -> memoryview:
+    """GG(r) for r in [0, 2c - 2]: ordered gap pairs summing to r.
+
+    gap_bytes is the gap indicator on [0, c), c the conductor.
+    """
     # a count is at most the genus, so 2-byte slots cannot carry into each other
-    fmt, width = ("H", 2) if len(gaps) < 1 << 16 else ("I", 4)
+    fmt, width = ("H", 2) if genus < 1 << 16 else ("I", 4)
     low = 0 if sys.byteorder == "little" else width - 1
+    conductor = len(gap_bytes)
     packed = bytearray(width * conductor)
-    for h in gaps:
-        packed[h * width + low] = 1
+    packed[low::width] = gap_bytes
     square = int.from_bytes(packed, sys.byteorder) ** 2
     return memoryview(square.to_bytes(width * max(2 * conductor - 1, 0), sys.byteorder)).cast(fmt)
 
@@ -54,7 +57,7 @@ def _profile(semigroup: NumericalSemigroup) -> tuple[list[int], list[int]]:
     prof = semigroup._feng_rao_profile
     if prof is None:
         g = semigroup.genus
-        pairs = _gap_pair_counts(semigroup.gaps, semigroup.conductor)
+        pairs = _gap_pair_counts(semigroup._gap_indicator(), g)
         nus = [
             2 * l - 1 - rho + (pairs[rho] if rho < len(pairs) else 0)
             for l, rho in enumerate(semigroup.nongaps_upto(4 * g), start=1)

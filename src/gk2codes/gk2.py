@@ -191,12 +191,11 @@ def holomorphic_gap_set(params: CurveParams) -> tuple[int, ...]:
         raise InternalConsistencyError(
             f"gap family size {distinct} != genus {params.genus} for q={q}, n={n}"
         )
-    gaps = tuple(compress(range(len(seen)), seen))
-    if gaps != semigroup_o2(params).gaps:
+    if seen != semigroup_o2(params)._gap_indicator():
         raise InternalConsistencyError(
             f"differential gap set != O2 semigroup complement for q={q}, n={n}"
         )
-    return gaps
+    return tuple(compress(range(len(seen)), seen))
 
 
 def canonical_triple(params: CurveParams, value: int) -> tuple[int, int, int]:

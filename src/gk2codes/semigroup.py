@@ -4,9 +4,9 @@ A numerical semigroup here is the set of all non-negative integer
 combinations of a finite generating set with gcd 1.  Construction closes the
 generators on a byte table up to a bound (strided slices for the longest
 equally spaced run of generators, shift-or for the rest), doubling the bound
-until min(generators) consecutive members below it prove the conductor.  Every
-query is answered from the two sorted tuples this leaves, gaps and
-nongaps_cached.
+until min(generators) consecutive members below it prove the conductor.  That
+table is the semigroup's one stored form: point queries read its bytes, and
+the sorted gap and nongap tuples are built only when a caller reads them.
 
 Elements of the semigroup are called nongaps, the finitely many missing
 non-negative integers gaps; the number of gaps is the genus.  Nongaps are
@@ -15,8 +15,7 @@ non-negative integers gaps; the number of gaps is the genus.  Nongaps are
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import accumulate, chain, compress, count, islice
 from math import gcd
 
 _FLIP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -79,7 +78,7 @@ def closure_table(generators, bound: int) -> bytearray:
 
 
 class NumericalSemigroup:
-    """Immutable numerical semigroup with cached gap/nongap data.
+    """Immutable numerical semigroup, stored as its sieve bytes.
 
     Attributes:
         generators: sorted generating set (gcd 1).
@@ -88,21 +87,24 @@ class NumericalSemigroup:
         gaps: sorted tuple of all gaps.
         nongaps_cached: sorted nongaps up to conductor + max(generators).
 
-    Equality, hash and repr go by these five fields.  The Feng-Rao profile
-    (fengrao.py) is cached in a private slot, built on first use.
+    The sieve (1 for a nongap, 0 for a gap, on [0, conductor + max(generators)])
+    answers the point queries; gaps, nongaps_cached and the Feng-Rao profile
+    (fengrao.py) are built on first read.  Equality and hash go by
+    (generators, conductor, sieve), which fixes the five fields repr names.
     """
 
     _FIELDS = ("generators", "conductor", "genus", "gaps", "nongaps_cached")
-    __slots__ = _FIELDS + ("_feng_rao_profile",)
+    __slots__ = ("generators", "conductor", "genus", "_sieve", "_gaps", "_nongaps",
+                 "_feng_rao_profile")
 
-    def __init__(self, generators, conductor, genus, gaps, nongaps_cached):
+    def __init__(self, generators, conductor, sieve):
         init = object.__setattr__
         init(self, "generators", generators)
         init(self, "conductor", conductor)
-        init(self, "genus", genus)
-        init(self, "gaps", gaps)
-        init(self, "nongaps_cached", nongaps_cached)
-        init(self, "_feng_rao_profile", None)
+        init(self, "genus", sieve.count(0, 0, conductor))
+        init(self, "_sieve", sieve)
+        for slot in ("_gaps", "_nongaps", "_feng_rao_profile"):
+            init(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: NumericalSemigroup is immutable")
@@ -110,8 +112,24 @@ class NumericalSemigroup:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}: NumericalSemigroup is immutable")
 
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        if self._gaps is None:
+            object.__setattr__(self, "_gaps", tuple(compress(count(), self._gap_indicator())))
+        return self._gaps
+
+    @property
+    def nongaps_cached(self) -> tuple[int, ...]:
+        if self._nongaps is None:
+            object.__setattr__(self, "_nongaps", tuple(compress(count(), self._sieve)))
+        return self._nongaps
+
+    def _gap_indicator(self) -> bytes:
+        """1 for a gap, 0 for a nongap, on [0, conductor)."""
+        return self._sieve[:self.conductor].translate(_FLIP_BITS)
+
     def _key(self):
-        return tuple(getattr(self, name) for name in self._FIELDS)
+        return self.generators, self.conductor, self._sieve
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -125,7 +143,7 @@ class NumericalSemigroup:
         return self.__class__, self._key()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._key()))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"NumericalSemigroup({fields})"
 
     @classmethod
@@ -142,10 +160,7 @@ class NumericalSemigroup:
             raise ValueError("generator set is empty")
         if any(g < 1 for g in gens):
             raise ValueError(f"generators must be positive, got {gens}")
-        d = 0
-        for g in gens:
-            d = gcd(d, g)
-        if d != 1:
+        if (d := gcd(*gens)) != 1:
             raise ValueError(f"gcd(generators) = {d} != 1: not a numerical semigroup")
 
         bound = max(conductor_hint or 0, gens[0]) + gens[0] + 1
@@ -159,31 +174,31 @@ class NumericalSemigroup:
             bound *= 2
 
         conductor = last_gap + 1
-        gaps = tuple(compress(range(conductor), reach[:conductor].translate(_FLIP_BITS)))
         top = conductor + gens[-1]
-        nongaps = tuple(compress(range(min(top, bound) + 1), reach))
-        if top > bound:
-            nongaps += tuple(range(bound + 1, top + 1))
-        return cls(gens, conductor, len(gaps), gaps, nongaps)
+        del reach[top + 1:]
+        reach += b"\x01" * (top - bound)  # past the sieve bound every value is a member
+        return cls(gens, conductor, bytes(reach))
 
     def contains(self, x: int) -> bool:
         """True iff x is a nongap."""
         if x < 0:
             return False
-        # below the conductor gaps is non-empty and ends at conductor - 1
-        return x >= self.conductor or self.gaps[bisect_left(self.gaps, x)] != x
+        return x >= self.conductor or self._sieve[x] == 1
 
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
+    __contains__ = contains
 
     def nth_nongap(self, index: int) -> int:
         """The index-th nongap, 1-indexed: nth_nongap(1) == 0."""
         if index < 1:
             raise ValueError(f"nongap index must be >= 1, got {index}")
-        if index <= len(self.nongaps_cached):
-            return self.nongaps_cached[index - 1]
-        # beyond the cache everything is past the conductor
-        return index + self.genus - 1
+        if index > self.conductor - self.genus:  # from the conductor on, no gaps
+            return index + self.genus - 1
+        return next(islice(compress(count(), self._sieve), index - 1, None))
+
+    def first_nongaps(self, number: int) -> list[int]:
+        """The number smallest nongaps, in increasing order."""
+        nongaps = chain(compress(count(), self._sieve), count(len(self._sieve)))
+        return list(islice(nongaps, number))
 
     def count_nongaps_upto(self, value: int) -> int:
         """Number of nongaps <= value (the h function of the CSS bookkeeping)."""
@@ -191,32 +206,17 @@ class NumericalSemigroup:
             return 0
         if value >= self.conductor:
             return value + 1 - self.genus
-        return bisect_right(self.nongaps_cached, value)
+        return self._sieve.count(1, 0, value + 1)
 
     def nongaps_upto(self, value: int) -> list[int]:
         """Sorted nongaps <= value."""
-        if value < 0:
-            return []
-        cached_top = self.nongaps_cached[-1] if self.nongaps_cached else -1
-        out = list(self.nongaps_cached[: bisect_right(self.nongaps_cached, value)])
-        if value > cached_top:
-            out.extend(range(max(cached_top + 1, self.conductor), value + 1))
+        out = list(compress(range(value + 1), self._sieve))
+        out.extend(range(len(self._sieve), value + 1))
         return out
 
     def is_symmetric(self) -> bool:
         """Symmetric means 2*genus - 1 is a gap."""
-        if self.genus == 0:
-            return False
-        return not self.contains(2 * self.genus - 1)
-
-
-def _prefix_gcds(seq: tuple[int, ...]) -> list[int]:
-    out = []
-    d = 0
-    for a in seq:
-        d = gcd(d, a)
-        out.append(d)
-    return out
+        return self.genus > 0 and not self.contains(2 * self.genus - 1)
 
 
 def is_telescopic(seq) -> bool:
@@ -229,7 +229,7 @@ def is_telescopic(seq) -> bool:
     seq = tuple(int(a) for a in seq)
     if not seq or any(a < 1 for a in seq):
         raise ValueError(f"sequence must consist of positive integers, got {seq}")
-    d = _prefix_gcds(seq)
+    d = list(accumulate(seq, gcd))
     if d[-1] != 1:
         raise ValueError(f"gcd(sequence) = {d[-1]} != 1")
     for i in range(1, len(seq)):
@@ -251,7 +251,7 @@ def telescopic_genus(seq) -> int:
     seq = tuple(int(a) for a in seq)
     if not is_telescopic(seq):
         raise ValueError(f"sequence {seq} is not telescopic")
-    d = _prefix_gcds(seq)
+    d = list(accumulate(seq, gcd))
     total = 1 - seq[0]
     for i in range(1, len(seq)):
         total += (d[i - 1] // d[i] - 1) * seq[i]

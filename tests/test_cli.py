@@ -157,6 +157,28 @@ def test_code_matrix_golden_bytes(capsys, q, n, orbit, l):
     assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SHA256[q, n, orbit, l]
 
 
+# sha256 of semigroup and gaps stdout at g = 937 450 and 198 765, where the
+# nongaps and gaps reach past every small-case test
+SEMIGROUP_SHA256 = {
+    ("semigroup", 5, 7, "O1", "json"): "bec0ef971fa10738b3ee4becc4acff390f0aede01282dfd8c82029f3ff5d6906",
+    ("semigroup", 5, 7, "O1", "csv"): "a02c5e432ca63ebb6a1863f011f77a04f1fc6829b9e1506283169305615dfcde",
+    ("semigroup", 5, 7, "O1", "md"): "905da1bd2d5a6b05d050a3a1e9454e7533e49ba4bcd9a497e1a73e5230a27868",
+    ("semigroup", 5, 7, "O2", "json"): "2ab0f2c530e0036220351263052fc7629480bb1eafad788124f775beff50a29e",
+    ("semigroup", 5, 7, "O2", "csv"): "114fdc8d06ea87647748cf28661ac0fc32fbbb5a6bdb342ab01aee32e7fd249f",
+    ("semigroup", 5, 7, "O2", "md"): "66cb2f4c4bfbdb35394755a35defa529a7b4d2f46fea6dc983addf51f3081284",
+    ("gaps", 4, 7, "O1", "json"): "1cb5d16abcad043c5d147988fed0ec6e4b7c48ddaffd68fa61fae1334761b254",
+}
+
+
+@pytest.mark.parametrize("command,q,n,orbit,fmt", sorted(SEMIGROUP_SHA256))
+def test_semigroup_golden_bytes(capsys, command, q, n, orbit, fmt):
+    code, out, _ = run_cli(
+        capsys, command, "--q", str(q), "--n", str(n), "--orbit", orbit, "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEMIGROUP_SHA256[command, q, n, orbit, fmt]
+
+
 @pytest.mark.parametrize("l", ["225", "100000"])
 def test_code_matrix_rows_beyond_code_length_rejected_fast(l):
     # N = 224 at (2, 3); the bound is checked before the field is built

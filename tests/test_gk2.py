@@ -1,5 +1,6 @@
 import pytest
 
+from gk2codes import gk2
 from gk2codes.errors import InternalConsistencyError
 from gk2codes.gk2 import (
     CurveParams,
@@ -149,6 +150,25 @@ def test_gap_set_failures_match_set_oracle(change):
     want = _outcome(holomorphic_gap_set_on_a_set, params)
     assert isinstance(want, str)
     assert _outcome(holomorphic_gap_set, params) == want
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 5)])
+@pytest.mark.parametrize("move", ["first-up", "middle-up", "middle-down"])
+def test_gap_set_rejects_an_o2_semigroup_with_one_gap_moved(monkeypatch, q, n, move):
+    params = curve_params(q, n)
+    true = semigroup_o2(params)
+    sieve = bytearray(true._sieve)
+    gap = true.gaps[0] if move == "first-up" else true.gaps[len(true.gaps) // 2]
+    if move.endswith("up"):
+        nongap = next(v for v in range(gap + 1, true.conductor) if sieve[v])
+    else:
+        nongap = next(v for v in range(gap - 1, 0, -1) if sieve[v])
+    sieve[gap], sieve[nongap] = 1, 0
+    moved = NumericalSemigroup(true.generators, true.conductor, bytes(sieve))
+    assert (moved.genus, moved.conductor) == (true.genus, true.conductor)
+    monkeypatch.setattr(gk2, "semigroup_o2", lambda params: moved)
+    with pytest.raises(InternalConsistencyError, match="differential gap set != O2 semigroup"):
+        holomorphic_gap_set(params)
 
 
 def test_gap_set_small_examples():

@@ -6,6 +6,7 @@ built from them, the bytearray dynamic-programming closure, the all-shift
 bitset closure, and the per-index readout of the gap sieve.
 """
 
+import sys
 from functools import cache
 from math import gcd
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gk2codes.fengrao import CodeTableRow, d_ord, nu, table
+from gk2codes.fengrao import CodeTableRow, _gap_pair_counts, d_ord, nu, table
 from gk2codes.gk2 import curve_params, o1_generators, o2_generators, orbit_semigroup
 from gk2codes.semigroup import NumericalSemigroup, closure_table
 
@@ -63,6 +64,17 @@ def sieve_readout_scan(gens):
     if top > bound:
         nongaps += tuple(range(bound + 1, top + 1))
     return conductor, gaps, nongaps
+
+
+def gap_pair_counts_loop(gaps, conductor):
+    """Oracle: the former packing, one slot write per gap, and the same squaring."""
+    fmt, width = ("H", 2) if len(gaps) < 1 << 16 else ("I", 4)
+    low = 0 if sys.byteorder == "little" else width - 1
+    packed = bytearray(width * conductor)
+    for h in gaps:
+        packed[h * width + low] = 1
+    square = int.from_bytes(packed, sys.byteorder) ** 2
+    return memoryview(square.to_bytes(width * max(2 * conductor - 1, 0), sys.byteorder)).cast(fmt)
 
 
 def nu_scan(sg, index):
@@ -140,6 +152,34 @@ def test_sieve_readout_matches_scan_on_orbit_semigroups(qn, orbit):
     gens = (o1_generators if orbit == "O1" else o2_generators)(params)
     sg = NumericalSemigroup.from_generators(gens, conductor_hint=2 * params.genus)
     assert (sg.conductor, sg.gaps, sg.nongaps_cached) == sieve_readout_scan(gens)
+
+
+def assert_gap_pairs_match_loop(sg):
+    pairs = _gap_pair_counts(sg._gap_indicator(), sg.genus)
+    oracle = gap_pair_counts_loop(sg.gaps, sg.conductor)
+    assert (pairs.format, pairs.tolist()) == (oracle.format, oracle.tolist())
+
+
+@settings(max_examples=120, deadline=None)
+@given(generator_sets)
+def test_gap_pairs_match_the_slot_loop(gens):
+    assert_gap_pairs_match_loop(NumericalSemigroup.from_generators(gens))
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2, (1 << 16) - 1, 1 << 16])
+def test_gap_pairs_match_the_slot_loop_at_both_widths(genus):
+    # generated by g + 1, ..., 2g + 1: the gaps are 1..g, the slots 2 bytes
+    # wide up to g = 2^16 - 1 and 4 bytes from 2^16
+    sg = NumericalSemigroup.from_generators(range(genus + 1, 2 * genus + 2))
+    assert sg.genus == genus
+    assert_gap_pairs_match_loop(sg)
+    assert _gap_pair_counts(sg._gap_indicator(), sg.genus).itemsize == (2 if sg.genus < 1 << 16 else 4)
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+@pytest.mark.parametrize("qn", [(2, 5), (3, 5), (4, 5)])
+def test_gap_pairs_match_the_slot_loop_on_orbit_semigroups(qn, orbit):
+    assert_gap_pairs_match_loop(orbit_semigroup(curve_params(*qn), orbit))
 
 
 def test_profile_of_the_naturals():

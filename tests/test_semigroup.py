@@ -1,10 +1,14 @@
+import json
 import random
+from bisect import bisect_left, bisect_right
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gk2codes import cli
+from gk2codes.gk2 import curve_params, semigroup_o1
 from gk2codes.semigroup import NumericalSemigroup, is_telescopic, telescopic_genus
 
 
@@ -49,6 +53,40 @@ def nongaps_upto_scan(s, value):
     if value > cached_top:
         out.extend(range(max(cached_top + 1, s.conductor), value + 1))
     return out
+
+
+def contains_bisect(s, x):
+    """Oracle: the former membership test, bisect_left on the gap tuple."""
+    if x < 0:
+        return False
+    return x >= s.conductor or s.gaps[bisect_left(s.gaps, x)] != x
+
+
+def count_nongaps_upto_bisect(s, value):
+    """Oracle: the former count, bisect_right on the cached nongap tuple."""
+    if value < 0:
+        return 0
+    if value >= s.conductor:
+        return value + 1 - s.genus
+    return bisect_right(s.nongaps_cached, value)
+
+
+def nongaps_upto_bisect(s, value):
+    """Oracle: the former slice of the cached nongap tuple, extended past its end."""
+    if value < 0:
+        return []
+    cached_top = s.nongaps_cached[-1] if s.nongaps_cached else -1
+    out = list(s.nongaps_cached[: bisect_right(s.nongaps_cached, value)])
+    if value > cached_top:
+        out.extend(range(max(cached_top + 1, s.conductor), value + 1))
+    return out
+
+
+def nth_nongap_tuple(s, index):
+    """Oracle: the former index into the cached nongap tuple, with the law past it."""
+    if index <= len(s.nongaps_cached):
+        return s.nongaps_cached[index - 1]
+    return index + s.genus - 1
 
 
 H_O1_25 = (22, 24, 26, 28, 30, 32, 33)
@@ -208,9 +246,19 @@ def test_queries_match_the_former_code(gens):
     gap_set = frozenset(s.gaps)  # the former membership index
     for x in query_points(s):
         assert s.contains(x) == (x >= 0 and (x >= s.conductor or x not in gap_set))
+        assert s.contains(x) == contains_bisect(s, x)
         assert (x in s) == s.contains(x)
         assert s.count_nongaps_upto(x) == count_nongaps_upto_search(s, x)
+        assert s.count_nongaps_upto(x) == count_nongaps_upto_bisect(s, x)
         assert s.nongaps_upto(x) == nongaps_upto_scan(s, x)
+        assert s.nongaps_upto(x) == nongaps_upto_bisect(s, x)
+    cached = len(s.nongaps_cached)
+    boundary = [1, s.conductor - s.genus, s.conductor - s.genus + 1, cached, cached + 1]
+    indices = [i for i in boundary if i >= 1] + list(range(1, cached + 6)) + [cached + 1000]
+    for i in indices:
+        assert s.nth_nongap(i) == nth_nongap_tuple(s, i)
+    for k in (0, 1, cached, cached + 7):
+        assert s.first_nongaps(k) == [nth_nongap_tuple(s, i) for i in range(1, k + 1)]
 
 
 def test_boundary_queries_on_the_naturals_and_an_orbit_semigroup():
@@ -235,3 +283,30 @@ def test_conductor_hint_never_changes_the_semigroup(gens):
     s = NumericalSemigroup.from_generators(gens)
     for hint in (0, 1, s.conductor, 10 * s.conductor):
         assert NumericalSemigroup.from_generators(gens, conductor_hint=hint) == s
+
+
+def test_point_queries_build_no_tuple(monkeypatch, capsys):
+    # (4, 7) O1: g = 122 856; every point query and the semigroup command
+    # read the sieve bytes and leave both tuple slots unbuilt
+    sg = semigroup_o1(curve_params(4, 7))
+    g, c = sg.genus, sg.conductor
+    assert not sg.contains(-1) and sg.contains(0)
+    assert not sg.contains(c - 1) and sg.contains(c) and sg.contains(2 * g - 1)
+    assert not sg.is_symmetric()
+    assert sg.count_nongaps_upto(c - 1) == c - g and sg.count_nongaps_upto(c) == c + 1 - g
+    firsts = [sg.nth_nongap(i) for i in range(1, 21)]
+    assert firsts == sg.first_nongaps(20) and firsts[0] == 0
+    assert sg.nongaps_upto(firsts[-1]) == firsts
+    monkeypatch.setattr(cli, "orbit_semigroup", lambda params, orbit: sg)
+    assert cli.main(["semigroup", "--q", "4", "--n", "7", "--orbit", "O1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["genus"], payload["conductor"], payload["first_nongaps"]) == (g, c, firsts)
+    assert sg._gaps is None and sg._nongaps is None
+
+
+def test_tuples_are_built_once_on_first_read():
+    s = NumericalSemigroup.from_generators(H_O1_25)
+    assert s._gaps is None and s._nongaps is None
+    gaps, nongaps = s.gaps, s.nongaps_cached
+    assert s.gaps is gaps and s.nongaps_cached is nongaps
+    assert len(gaps) == s.genus and nongaps[-1] == s.conductor + max(s.generators)
