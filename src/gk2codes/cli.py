@@ -25,12 +25,11 @@ from .gk2 import (
     frobenius_dimensions_differ,
     holomorphic_gap_set,
     orbit_semigroup,
-    prime_power_decompose,
     semigroup_o1,
     semigroup_o2,
     verify_partition,
 )
-from .semigroup import NumericalSemigroup, telescopic_genus
+from .semigroup import NumericalSemigroup
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -238,9 +237,7 @@ def _cmd_fengrao_table(args):
 
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
-    l_min = 1 if args.lmin is None else args.lmin
-    l_max = 3 * params.genus if args.lmax is None else args.lmax
-    _, _, dims, rhos, nus, d_ords = fengrao._table_columns(sg, params, l_min, l_max)
+    _, index, dims, rhos, nus, d_ords = fengrao._table_columns(sg, params, args.lmin, args.lmax)
     meta = {
         "command": "fengrao-table",
         "q": params.q,
@@ -249,7 +246,7 @@ def _cmd_fengrao_table(args):
         "N": params.rational_point_count - 1,
     }
     columns = {"k": dims, "rho_l": rhos, "nu_l": nus, "d_ord": d_ords}
-    return _table(args.format, meta, l_max - l_min + 1, columns)
+    return _table(args.format, meta, len(index), columns)
 
 
 def _cmd_quantum_table(args):
@@ -260,9 +257,9 @@ def _cmd_quantum_table(args):
     if args.regime == quantum.REGIME_HIGH_DEGREE:
         # the columns alone: no QuantumRange record is built
         l_min, l_max = quantum._window(params, args.lmin, args.lmax, args.regime)
-        _, index, d_floor, s_min, s_max, _, notes = quantum._high_degree_columns(
-            params.rational_point_count - 1, params.genus, l_min, l_max)
-        nrows = l_max - l_min + 1
+        _, index, d_floor, s_min, s_max, _, notes = quantum._columns(
+            params, None, l_min, l_max, args.regime)
+        nrows = len(index)
     else:
         from . import refdata
 
@@ -375,14 +372,14 @@ def _cmd_verify(args):
     gaps = holomorphic_gap_set(params)  # asserts size and complement equality
     check("differential_gap_set", len(gaps) == params.genus, f"|L| = {len(gaps)}")
 
+    # verify_partition evaluates the telescopic genus of this same sequence
+    rep = verify_partition(params)
     seq = (params.m * params.q, params.m * params.q + params.q**2 - params.q, top)
     check(
         "telescopic_genus_cross_check",
-        telescopic_genus(seq) == NumericalSemigroup.from_generators(seq).genus,
+        rep.telescopic_genus == NumericalSemigroup.from_generators(seq).genus,
         seq,
     )
-
-    rep = verify_partition(params)
     check("partition_inside", rep.sets_inside_h1_minus_s)
     check("partition_disjoint", rep.sets_pairwise_disjoint)
     check("partition_sizes", rep.set_sizes_match_formula)
@@ -402,8 +399,7 @@ def _cmd_verify(args):
             f"gk1 = {frobenius_dimension_gk1(params)}, gk2 = {r2}",
         )
 
-    p, e = prime_power_decompose(params.q)
-    field_size = p ** (e * 2 * params.n)
+    field_size = params.q ** (2 * params.n)
     if field_size <= MAX_FIELD_SIZE:
         ctx = curve_mod.field_context(params)
         c = curve_mod.census(params, ctx)  # asserts totals internally

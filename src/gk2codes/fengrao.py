@@ -99,14 +99,17 @@ def _column(values, l_min: int, l_max: int, shift: int):
 
 
 def _table_columns(
-    semigroup: NumericalSemigroup, params: CurveParams, l_min: int, l_max: int
+    semigroup: NumericalSemigroup, params: CurveParams, l_min: int | None, l_max: int | None
 ) -> tuple:
     """The CodeTableRow fields of the rows l in [l_min, l_max], as columns.
 
+    None stands for the default window's end, 1 for l_min and 3g for l_max.
     rho, nu and d_ord are slices of the nongap cache and the profile,
     extended past their ends by the laws of nth_nongap and _read.
     """
     length = params.rational_point_count - 1
+    l_min = 1 if l_min is None else l_min
+    l_max = 3 * params.genus if l_max is None else l_max
     if not 1 <= l_min <= l_max <= length - 1:
         raise ValueError(f"need 1 <= l_min <= l_max <= N-1, got [{l_min}, {l_max}]")
     g = semigroup.genus
@@ -124,11 +127,9 @@ def _table_columns(
 def table(
     semigroup: NumericalSemigroup,
     params: CurveParams,
-    l_min: int = 1,
+    l_min: int | None = None,
     l_max: int | None = None,
 ) -> list[CodeTableRow]:
-    """Parameter rows for the dual codes of length N = point count - 1."""
-    if l_max is None:
-        l_max = 3 * params.genus
+    """Parameter rows l in [l_min, l_max] (default [1, 3g]) for the duals of length N."""
     columns = zip(*_table_columns(semigroup, params, l_min, l_max))
     return list(map(tuple.__new__, repeat(CodeTableRow), columns))

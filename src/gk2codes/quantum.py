@@ -7,6 +7,10 @@ Two regimes, split by how the minimum-distance floor is obtained:
 * order-bound: l lies in [g, 3g-1], the floor is the Feng-Rao designed
   distance, and s ranges over [max(2g-l, 1), min(N-2l, N-l-g+1-d)].
 
+Both regimes take one path: _window is the one place the regime intervals
+are written, _columns gives a window's fields as columns, and _rows zips them
+into the records that quantum_table and the one-row forms range_* return.
+
 Where a published reference row exists for (orbit, l), the computed range is
 compared against it and any difference is attached to the result; the
 formula output is never altered to match the reference.
@@ -15,6 +19,7 @@ formula output is never altered to match the reference.
 from __future__ import annotations
 
 from itertools import chain, repeat
+from operator import sub
 from typing import NamedTuple
 
 from .fengrao import d_ord
@@ -48,40 +53,7 @@ class QuantumRange(NamedTuple):
 
 def range_high_degree(params: CurveParams, index: int) -> QuantumRange:
     """Genus-floor regime: l in [3g-1, N-g], s in [1, N-2l], D >= l+1-g."""
-    g = params.genus
-    length = params.rational_point_count - 1
-    if not 3 * g - 1 <= index <= length - g:
-        raise ValueError(
-            f"index {index} outside the high-degree regime [{3*g-1}, {length-g}]"
-        )
-    return _high_degree_rows(length, g, index, index)[0]
-
-
-def _high_degree_columns(length: int, g: int, l_min: int, l_max: int) -> tuple:
-    """The QuantumRange fields of the high-degree rows l in [l_min, l_max], as columns.
-
-    Every column is a progression in l (a ``range``) or a run of one value.
-    """
-    # s_max = N - 2l >= 1 exactly for l <= (N - 1) // 2; past that the range is empty
-    split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
-    return (
-        repeat(length),
-        range(l_min, l_max + 1),
-        range(l_min + 1 - g, l_max + 2 - g),
-        repeat(1),
-        range(length - 2 * l_min, length - 2 * l_max - 1, -2),
-        repeat(REGIME_HIGH_DEGREE),
-        chain(repeat(None, split - l_min), repeat("empty range", l_max + 1 - split)),
-    )
-
-
-def _high_degree_rows(length: int, g: int, l_min: int, l_max: int) -> list[QuantumRange]:
-    """High-degree ranges for l in [l_min, l_max], zipped from their columns.
-
-    The records are made by ``tuple.__new__``, with no Python call per row.
-    """
-    columns = zip(*_high_degree_columns(length, g, l_min, l_max))
-    return list(map(tuple.__new__, repeat(QuantumRange), columns))
+    return _rows(params, None, index, index, REGIME_HIGH_DEGREE)[0]
 
 
 def _reference_note(reference_row: dict[str, int] | None, d: int, s_min: int,
@@ -109,15 +81,11 @@ def range_order_bound(
     If reference_row (keys d_ord, s_min, s_max) is given, differences are
     recorded in the discrepancy field.
     """
-    g = params.genus
-    length = params.rational_point_count - 1
-    if not g <= index <= 3 * g - 1:
-        raise ValueError(f"index {index} outside the order-bound regime [{g}, {3*g-1}]")
-    d = d_ord(semigroup, index)
-    s_min = max(2 * g - index, 1)
-    s_max = min(length - 2 * index, length - index - g + 1 - d)
-    note = _reference_note(reference_row, d, s_min, s_max)
-    return QuantumRange(length, index, d, s_min, s_max, REGIME_ORDER_BOUND, note)
+    row = _rows(params, semigroup, index, index, REGIME_ORDER_BOUND)[0]
+    if reference_row is None:
+        return row
+    note = _reference_note(reference_row, row.d_floor, row.s_min, row.s_max)
+    return row._replace(discrepancy=note)
 
 
 def _window(
@@ -138,6 +106,41 @@ def _window(
     return l_min, l_max
 
 
+def _columns(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int,
+             l_max: int, regime: str) -> tuple:
+    """The QuantumRange fields of the rows l in a window _window passed, as columns.
+
+    Each column is a progression in l (a ``range``), a run of one value, or a
+    ``map`` over those and the order-bound d_ord column, the one Python call
+    per row.  The high-degree regime leaves semigroup unused.
+    """
+    g = params.genus
+    length = params.rational_point_count - 1
+    index = range(l_min, l_max + 1)
+    n_minus_2l = range(length - 2 * l_min, length - 2 * l_max - 1, -2)
+    if regime == REGIME_HIGH_DEGREE:
+        # s_max = N - 2l >= 1 exactly for l <= (N - 1) // 2; past that the range is empty
+        split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
+        notes = chain(repeat(None, split - l_min), repeat("empty range", l_max + 1 - split))
+        return (repeat(length), index, range(l_min + 1 - g, l_max + 2 - g), repeat(1),
+                n_minus_2l, repeat(regime), notes)
+    d = list(map(d_ord, repeat(semigroup), index))
+    s_min = map(max, range(2 * g - l_min, 2 * g - l_max - 1, -1), repeat(1))
+    s_max = map(min, n_minus_2l, map(sub, range(length - l_min - g + 1, length - l_max - g, -1), d))
+    return repeat(length), index, d, s_min, s_max, repeat(regime), repeat(None)
+
+
+def _rows(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int | None,
+          l_max: int | None, regime: str) -> list[QuantumRange]:
+    """The ranges for the window _window checks and completes, zipped from their columns.
+
+    The records are made by ``tuple.__new__``, with no Python call per record.
+    """
+    l_min, l_max = _window(params, l_min, l_max, regime)
+    columns = zip(*_columns(params, semigroup, l_min, l_max, regime))
+    return list(map(tuple.__new__, repeat(QuantumRange), columns))
+
+
 def quantum_table(
     params: CurveParams,
     semigroup: NumericalSemigroup,
@@ -146,7 +149,4 @@ def quantum_table(
     regime: str = REGIME_ORDER_BOUND,
 ) -> list[QuantumRange]:
     """Ranges for consecutive l; defaults to the full regime interval."""
-    l_min, l_max = _window(params, l_min, l_max, regime)
-    if regime == REGIME_ORDER_BOUND:
-        return [range_order_bound(params, semigroup, l) for l in range(l_min, l_max + 1)]
-    return _high_degree_rows(params.rational_point_count - 1, params.genus, l_min, l_max)
+    return _rows(params, semigroup, l_min, l_max, regime)

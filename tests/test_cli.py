@@ -179,6 +179,34 @@ def test_semigroup_golden_bytes(capsys, command, q, n, orbit, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SEMIGROUP_SHA256[command, q, n, orbit, fmt]
 
 
+# sha256 of table and verify stdout: order-bound quantum-table jobs (the
+# (2, 5) one carries the reference notes), a fengrao-table window open at the
+# top, and the verify check lists with their detail strings
+TABLE_SHA256 = {
+    "quantum-table --q 3 --n 5 --orbit O1":
+        "856c24aefdf8c8e6e1357bad33629c7ee762e9653c9f352f13fd3eafe384b89b",
+    "quantum-table --q 3 --n 5 --orbit O2 --format csv":
+        "1aea5a2210aba9e5d98ed8d2b8623eea1543ecf72bf3c53d9d9c167d70f713c0",
+    "quantum-table --q 2 --n 5 --orbit O1 --format md":
+        "e8caf643e37bf7c8a34d451bbfb9b2071ad27e730f7321e93ffff79656a82f53",
+    "quantum-table --q 4 --n 5 --orbit O2 --lmin 8000 --lmax 8100 --format md":
+        "22556033d116311104eed85eb98710b9f85016eea118e34f3f4d2cf1de8d8113",
+    "fengrao-table --q 3 --n 5 --orbit O2 --lmin 100 --format csv":
+        "3121eb9f430fb2e6b7efd98032c37ef3ae72bbaff64e921722caa6c9b0f76c2c",
+    "verify --q 2 --n 3 --format csv":
+        "7638664ba2cc4970dce95138061902570d7ae75f912f5bdef408c1b6903c5d51",
+    "verify --q 3 --n 5 --format md":
+        "43ee20dfd48ba36d71796d01b45a6b597f0c6a34da0865c172af5c93fe14b8f7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_SHA256))
+def test_table_and_verify_golden_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[argv]
+
+
 @pytest.mark.parametrize("l", ["225", "100000"])
 def test_code_matrix_rows_beyond_code_length_rejected_fast(l):
     # N = 224 at (2, 3); the bound is checked before the field is built
@@ -466,9 +494,25 @@ def test_high_degree_cli_builds_no_records(capsys, monkeypatch):
     def no_records(*args):
         raise AssertionError("the high-degree CLI path built QuantumRange records")
 
-    monkeypatch.setattr(quantum, "_high_degree_rows", no_records)
+    monkeypatch.setattr(quantum, "_rows", no_records)
     monkeypatch.setattr(quantum, "range_high_degree", no_records)
     assert run_cli(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("job", [
+    ("quantum-table", 2, 5, "O1", {}),  # the reference notes
+    ("quantum-table", 3, 3, "O2", {"lmin": 150, "lmax": 296}),
+    ("quantum-table", 2, 3, "O1", {"regime": quantum.REGIME_HIGH_DEGREE}),
+], ids=lambda j: " ".join(_table_argv(*j)))
+def test_cli_tables_call_no_one_row_form(capsys, monkeypatch, job):
+    want = _oracle_table(*job[:4], "csv", **job[4])
+
+    def one_row(*args, **kwargs):
+        raise AssertionError("the table was built through a one-row form")
+
+    monkeypatch.setattr(quantum, "range_order_bound", one_row)
+    monkeypatch.setattr(quantum, "range_high_degree", one_row)
+    assert run_cli(capsys, *_table_argv(*job), "--format", "csv") == (0, want, "")
 
 
 @pytest.mark.parametrize("lmin, lmax", [(5, 40), (40, 30), (None, 10000)])
@@ -481,6 +525,18 @@ def test_high_degree_window_rejected_with_its_message(capsys, lmin, lmax):
     shown = [29 if lmin is None else lmin, 214 if lmax is None else lmax]
     assert run_cli(capsys, *argv) == (
         1, "", f"usage error: need 29 <= l_min <= l_max <= 214, got {shown}\n")
+
+
+@pytest.mark.parametrize("lmin, lmax", [(50, None), (None, 300), (0, 3), (40, 30)])
+def test_fengrao_window_rejected_with_its_message(capsys, lmin, lmax):
+    # (2, 3): g = 10, so the default window is [1, 30]; N - 1 = 223
+    argv = ["fengrao-table", "--q", "2", "--n", "3", "--orbit", "O1"]
+    for key, value in (("--lmin", lmin), ("--lmax", lmax)):
+        if value is not None:
+            argv += [key, str(value)]
+    shown = [1 if lmin is None else lmin, 30 if lmax is None else lmax]
+    assert run_cli(capsys, *argv) == (
+        1, "", f"usage error: need 1 <= l_min <= l_max <= N-1, got {shown}\n")
 
 
 def test_reference_notes_cost_no_second_pass(capsys, monkeypatch):

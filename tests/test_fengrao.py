@@ -125,6 +125,14 @@ def test_table_range_validation(p25, s1):
         table(s1, p25, 5, 4)
 
 
+def test_table_default_window(p25, s1):
+    # None stands for the default window's end: l_min = 1, l_max = 3g = 138
+    full = table(s1, p25, 1, 138)
+    assert table(s1, p25) == table(s1, p25, None, None) == full
+    assert table(s1, p25, 100) == full[99:]
+    assert table(s1, p25, l_max=10) == full[:10]
+
+
 def test_threads_env_is_ignored(p25, s1, monkeypatch):
     monkeypatch.delenv("GK2_THREADS", raising=False)
     base = table(s1, p25, 1, 120)
