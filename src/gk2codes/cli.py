@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from itertools import chain, islice, tee
+from itertools import chain, compress, islice, tee
 from operator import attrgetter
 
 # curve, gf, fengrao, quantum, refdata, csv and json are imported by the
@@ -225,11 +225,12 @@ def _cmd_gaps(args):
     params = curve_params(args.q, args.n)
     if args.orbit == "O2":
         gaps = holomorphic_gap_set(params)  # asserts |L| = g and L = complement
-    else:
-        gaps = semigroup_o1(params).gaps
+    else:  # streamed off the sieve, whose genus is asserted to be g: no tuple of g ints
+        sg = semigroup_o1(params)
+        gaps = compress(range(sg.conductor), sg._gap_indicator())
     meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
-            "count": len(gaps)}
-    return _table(args.format, meta, len(gaps), {"gap": gaps})
+            "count": params.genus}
+    return _table(args.format, meta, params.genus, {"gap": gaps})
 
 
 def _cmd_fengrao_table(args):

@@ -20,12 +20,14 @@ x = g^{j + k s}, k = 0..q:
 
 Subtracting 1 changes only the constant coefficient, so u - 1 and c - 1 are
 two digit operations on the serialized integer.  The walk yields one
-(x, log x, ly, lw) per nonempty x-fiber.  Enumeration sorts these records by
-x and expands each into its y_i, sorted, and, where m divides lw + i s (m
-divides o), into the m-th roots z = g^{(lw + i s)/m + t o/m}, t < m, sorted.  The
-census counts one point per ramified x, q+1 per w = 0 fiber, and m per y_i
-with m | lw + i s, read from a table over lw mod m.  The q+1 points at
-infinity carry a (q+1)-st root of unity as coordinate.
+(x, log x, ly, lw) per nonempty x-fiber.  The census counts one point per
+ramified x, q+1 per w = 0 fiber, and m per y_i with m | lw + i s, read from a
+table over lw mod m.  `_affine_logs`, the one ordered stream that enumeration
+and code matrices read, sorts the records by x and expands each into its y_i,
+sorted, and, where m | lw + i s (m divides o), the logs of the m-th roots
+z = g^{(lw + i s)/m + t o/m}, t < m, sorted by z; once exhausted it checks the
+point counts, as `census` does.  The q+1 points at infinity carry a (q+1)-st
+root of unity as coordinate.
 
 An affine point lies in the orbit O2 (all coordinates in F_{q^2}) exactly
 when w = 0.  Off the ramified x, y^{q+1} = x^{q+1} - 1 != 0, so w = 0 iff
@@ -49,7 +51,6 @@ from typing import NamedTuple
 from .errors import InternalConsistencyError, NeedsLocalResolutionError, PoleEvaluationError
 from .gf import GfContext, make_field, rank_profile
 from .gk2 import CurveParams, o1_generators, orbit_semigroup, prime_power_decompose
-from .semigroup import NumericalSemigroup
 
 ORBIT_INFINITE = "O1"
 ORBIT_SMALL_AFFINE = "O2"
@@ -120,41 +121,53 @@ def _fibers(params: CurveParams, ctx: GfContext):
             yield exp[lx], lx, ly, None if lw is None else (lw + k * step) % n
 
 
-def iter_points(params: CurveParams, ctx: GfContext):
-    """Yield all rational points in the normative order."""
+def _affine_logs(params: CurveParams, ctx: GfContext):
+    """Yield (x, lx, ly, lzs) per affine (x, y) that carries points, in normative order.
+
+    lx is None for x = 0 and ly for y = 0 (a ramified x).  lzs is None for the
+    O2 point (x, y, 0), else the m logs of z, sorted by z.  Once exhausted,
+    the stream checks the point and orbit counts.
+    """
     q1, m = params.q + 1, params.m
     n = ctx.order - 1
-    exp = ctx._exp
     ystep, zstep = n // q1, n // m
-    for x, _, ly, lw in sorted(_fibers(params, ctx)):
+    by_value = ctx._exp.__getitem__
+    o2 = generic = 0
+    for x, lx, ly, lw in sorted(_fibers(params, ctx)):
         if ly is None:
-            yield CurvePoint("affine", x, 0, 0, None, ORBIT_SMALL_AFFINE)
+            o2 += 1
+            yield x, lx, None, None
             continue
-        for y, i in sorted((exp[ly + i * ystep], i) for i in range(q1)):
+        for lyi in sorted(range(ly, n, ystep), key=by_value):
             if lw is None:
-                yield CurvePoint("affine", x, y, 0, None, ORBIT_SMALL_AFFINE)
+                o2 += 1
+                yield x, lx, lyi, None
                 continue
-            l = (lw + i * ystep) % n
+            l = (lw - ly + lyi) % n
             if l % m == 0:  # m | order - 1: w has m roots or none
-                for z in sorted(exp[l // m + t * zstep] for t in range(m)):
-                    yield CurvePoint("affine", x, y, z, None, ORBIT_GENERIC)
-    for a in ctx.nth_roots(ctx.one, q1):
+                generic += m
+                yield x, lx, lyi, sorted(range(l // m, n, zstep), key=by_value)
+    o1 = len(ctx.nth_roots(ctx.one, q1))
+    _check_census(params, PointCensus(o1 + o2 + generic, o1, o2, generic))
+
+
+def iter_points(params: CurveParams, ctx: GfContext):
+    """Yield all rational points in the normative order."""
+    exp = ctx._exp
+    for x, _, ly, lzs in _affine_logs(params, ctx):
+        y = 0 if ly is None else exp[ly]
+        if lzs is None:
+            yield CurvePoint("affine", x, y, 0, None, ORBIT_SMALL_AFFINE)
+        else:
+            for lz in lzs:
+                yield CurvePoint("affine", x, y, exp[lz], None, ORBIT_GENERIC)
+    for a in ctx.nth_roots(ctx.one, params.q + 1):
         yield CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE)
 
 
 def enumerate_points(params: CurveParams, ctx: GfContext) -> list[CurvePoint]:
     """All rational points, sorted; count and orbit sizes are asserted."""
-    points = list(iter_points(params, ctx))
-    _check_census(
-        params,
-        PointCensus(
-            total=len(points),
-            o1=sum(1 for p in points if p.orbit == ORBIT_INFINITE),
-            o2=sum(1 for p in points if p.orbit == ORBIT_SMALL_AFFINE),
-            generic=sum(1 for p in points if p.orbit == ORBIT_GENERIC),
-        ),
-    )
-    return points
+    return list(iter_points(params, ctx))
 
 
 def _check_census(params: CurveParams, census: PointCensus):
@@ -249,19 +262,13 @@ def _lex_min_exponents(target: int, weights: tuple[int, ...]) -> tuple[int, ...]
     return rec(0, target)
 
 
-def build_basis(
-    params: CurveParams,
-    orbit: str,
-    count: int,
-    semigroup: NumericalSemigroup | None = None,
-) -> list[PoleBasisFunction]:
+def build_basis(params: CurveParams, orbit: str, count: int) -> list[PoleBasisFunction]:
     """One function per nongap up to the count-th, with that exact pole order."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    sg = semigroup if semigroup is not None else orbit_semigroup(params, orbit)
     weights = generator_pole_orders(params, orbit)
     out = []
-    for rho in sg.first_nongaps(count):
+    for rho in orbit_semigroup(params, orbit).first_nongaps(count):
         exps = _lex_min_exponents(rho, weights)
         if exps is None:
             raise InternalConsistencyError(
@@ -360,12 +367,14 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     and den nonzero the value z^a num^e / den^d of `eval_basis` is
     g^(a log z + e log num - d log den), g the field's generator, so each
     point contributes its three logs once and each basis function its three
-    exponents once.  One pass of `_fibers` gives the logs in the order of
-    `evaluation_points`: per generic (x, y) the m log z, sorted by z, and
-    log num and log den once (x - 1 by a digit operation, x + y or y - a by
-    XOR for p = 2, else by a Zech addition).  The q^3 points with z = 0 or at
-    infinity other than the base point, and any where num or den is 0, take
-    their entries from `eval_basis`.  The walk's point counts are checked.
+    exponents once.  `_affine_logs` gives the logs in the order of
+    `evaluation_points`: per generic (x, y) the m log z, sorted by z, and log
+    num and log den once (x - 1 by a digit operation, x + y or y - a by XOR
+    for p = 2, else by a Zech addition).  The q^3 points with z = 0 or at
+    infinity, less the base point, take their entries from `eval_basis`.
+    num and den are never 0 at a generic point: x - 1 = 0 makes x ramified,
+    x + y = 0 gives y^{q+1} = x^{q+1}, x = 0 has w = 0, and y = a gives
+    x^{q+1} = 0; a zero there is an InternalConsistencyError.
 
     While the count-th pole order rho_count is below N, the first i rows
     evaluate a basis of L(rho_i P) for every i, so the rank profile must be
@@ -381,12 +390,9 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
 
     base = distinguished_point(params, ctx, orbit)
     base_key = base.sort_key()
-    sg = orbit_semigroup(params, orbit)
-    basis = build_basis(params, orbit, count, semigroup=sg)
-    q1, m = params.q + 1, params.m
+    basis = build_basis(params, orbit, count)
     p, exp, log = ctx.p, ctx._exp, ctx._log
     n = ctx.order - 1
-    ystep, zstep = n // q1, n // m
     is_o1 = orbit == ORBIT_INFINITE
     zech = ctx._zech_table()  # None for p = 2
     neg_a = ctx.neg(base.y) if not is_o1 else 0  # den = y + (-a) for O2
@@ -396,43 +402,32 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     cols = col_z, col_num, col_den = array("Q"), array("Q"), array("Q")
     special = []  # (column, point) for the entries from eval_basis
 
-    def hold(points):
-        for pt in points:
-            if pt.sort_key() != base_key:
-                special.append((len(col_z), pt))
-                for col in cols:
-                    col.append(0)
+    def hold(pt):
+        if pt.sort_key() != base_key:
+            special.append((len(col_z), pt))
+            for col in cols:
+                col.append(0)
 
-    o2 = generic = 0
-    for x, lx, ly, lw in sorted(_fibers(params, ctx)):
-        if lw is None:  # the point (x, 0, 0) of a ramified x, or a w = 0 fiber
-            ys = [0] if ly is None else sorted(exp[k] for k in range(ly, n, ystep))
-            o2 += len(ys)
-            hold(CurvePoint("affine", x, y, 0, None, ORBIT_SMALL_AFFINE) for y in ys)
+    for x, lx, ly, lzs in _affine_logs(params, ctx):
+        if lzs is None:  # an O2 point (x, y, 0)
+            hold(CurvePoint("affine", x, 0 if ly is None else exp[ly], 0, None, ORBIT_SMALL_AFFINE))
             continue
         s = x if is_o1 else neg_a
-        ls = log[s]
         lnum = log[x - x % p + (x - 1) % p] if is_o1 else lx  # x - 1: digit 0 only
-        for lyi in sorted(range(ly, n, ystep), key=exp.__getitem__):
-            l = (lw - ly + lyi) % n
-            if l % m:  # m | order - 1: w has m roots or none
-                continue
-            generic += m
-            lzs = sorted(range(l // m, n, zstep), key=exp.__getitem__)
-            if zech is None:
-                lden = log[s ^ exp[lyi]]
-            else:
-                z = zech[lyi - ls]  # a negative index wraps mod n
-                lden = -1 if z < 0 else (ls + z) % n
-            if lnum < 0 or lden < 0:
-                hold(CurvePoint("affine", x, exp[lyi], exp[lz], None, ORBIT_GENERIC) for lz in lzs)
-                continue
-            col_z.extend(lzs)
-            col_num.extend([lnum] * m)
-            col_den.extend([n - lden] * m)
-    roots = ctx.nth_roots(ctx.one, q1)
-    hold(CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE) for a in roots)
-    _check_census(params, PointCensus(len(roots) + o2 + generic, len(roots), o2, generic))
+        if zech is None:
+            lden = log[s ^ exp[ly]]
+        else:
+            ls = log[s]
+            z = zech[ly - ls]  # a negative index wraps mod n
+            lden = -1 if z < 0 else (ls + z) % n
+        if lnum < 0 or lden < 0:
+            raise InternalConsistencyError(f"num or den is 0 at the generic point ({x}, {exp[ly]}) "
+                                           f"for orbit {orbit}, q={params.q}, n={params.n}")
+        col_z.extend(lzs)
+        col_num.extend([lnum] * len(lzs))
+        col_den.extend([n - lden] * len(lzs))
+    for a in ctx.nth_roots(ctx.one, params.q + 1):
+        hold(CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE))
 
     width = 8 * len(col_z)
     log_z, log_num, log_den_inv = (int.from_bytes(col, byteorder) for col in cols)
@@ -448,7 +443,7 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
         except (PoleEvaluationError, NeedsLocalResolutionError) as exc:
             raise type(exc)(f"row for pole order {fn.pole_order}: {exc}") from exc
         matrix.append(row)
-    if sg.nth_nongap(count) < len(col_z):
+    if basis[-1].pole_order < len(col_z):
         profile = _prefix_rank_profile(ctx, matrix)
         if profile != list(range(1, count + 1)):
             raise InternalConsistencyError(

@@ -18,6 +18,7 @@ formula output is never altered to match the reference.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
@@ -53,6 +54,7 @@ class QuantumRange(NamedTuple):
 
 def range_high_degree(params: CurveParams, index: int) -> QuantumRange:
     """Genus-floor regime: l in [3g-1, N-g], s in [1, N-2l], D >= l+1-g."""
+    index = operator.index(index)  # _window would read None as the regime's end
     return _rows(params, None, index, index, REGIME_HIGH_DEGREE)[0]
 
 
@@ -81,6 +83,7 @@ def range_order_bound(
     If reference_row (keys d_ord, s_min, s_max) is given, differences are
     recorded in the discrepancy field.
     """
+    index = operator.index(index)  # _window would read None as the regime's end
     row = _rows(params, semigroup, index, index, REGIME_ORDER_BOUND)[0]
     if reference_row is None:
         return row

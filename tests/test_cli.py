@@ -12,6 +12,7 @@ import pytest
 from gk2codes import cli, fengrao, quantum, refdata
 from gk2codes.cli import main
 from gk2codes.gk2 import curve_params, holomorphic_gap_set, orbit_semigroup, semigroup_o1
+from gk2codes.semigroup import NumericalSemigroup
 
 
 def run_cli(capsys, *argv):
@@ -438,6 +439,20 @@ def test_streamed_table_matches_former_renderer(capsys, tmp_path, job, fmt):
     path = tmp_path / "t.out"
     assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
     assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_gaps_o1_streams_off_the_sieve(capsys, monkeypatch, fmt):
+    # the O1 column is read off the sieve bytes: the gaps tuple is never built
+    want = _oracle_table("gaps", 2, 5, "O1", fmt)
+
+    def unread(self):
+        raise AssertionError("NumericalSemigroup.gaps read")
+
+    monkeypatch.setattr(NumericalSemigroup, "gaps", property(unread))
+    code, out, err = run_cli(capsys, "gaps", "--q", "2", "--n", "5", "--orbit", "O1",
+                             "--format", fmt)
+    assert (code, err, out) == (0, "", want)
 
 
 CELLS = {

@@ -6,7 +6,7 @@ and census and tagged O2 by testing every coordinate for membership in
 F_{q^2}; the second was one per-x walk with field-method arithmetic that
 yielded one record per y.  Basis evaluation is checked the same way against
 its former form, one branch per orbit.  The code matrix, whose columns are
-read off the fiber walk, is checked against its two former forms, one
+read off the ordered log stream, is checked against its two former forms, one
 eval_basis call per entry and one point record per column, and its
 column-prefix rank certificate against the full-width rank profile.
 """
@@ -479,9 +479,12 @@ def test_walk_matrix_matches_per_point_oracle(q, n, orbit, l):
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("orbit", ["O1", "O2"])
 def test_code_matrix_evaluates_only_special_points(monkeypatch, q, n, orbit):
-    # the q^3 points with z = 0 or at infinity, less the base point, per row
+    # the q^3 points with z = 0 or at infinity, less the base point, per row;
+    # the matrix is read off the ordered log stream, with no point list built
     params = curve_params(q, n)
     ctx = field_context(params)
+    l = 10
+    want = _per_entry_matrix_oracle(params, ctx, orbit, l)
     calls = []
     real = curve_mod.eval_basis
 
@@ -489,11 +492,55 @@ def test_code_matrix_evaluates_only_special_points(monkeypatch, q, n, orbit):
         calls.append(args[3])
         return real(*args, **kwargs)
 
+    def unused(*args):
+        raise AssertionError("a point list was built")
+
     monkeypatch.setattr(curve_mod, "eval_basis", counting)
-    l = 10
-    code_matrix(params, ctx, orbit, l)
+    for name in ("iter_points", "enumerate_points", "evaluation_points"):
+        monkeypatch.setattr(curve_mod, name, unused)
+    assert code_matrix(params, ctx, orbit, l) == want
     assert len(calls) == l * q**3
     assert all(pt.kind == "infinity" or pt.z == 0 for pt in calls)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 5)])
+def test_num_den_nonzero_at_every_generic_point(q, n):
+    # why code_matrix takes only the special points from eval_basis
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    points = enumerate_points(params, ctx)
+    by_xy = {(pt.x, pt.y): pt for pt in points if pt.orbit == "generic"}  # num, den: x, y only
+    assert len(by_xy) * params.m == len(points) - q**3 - 1
+    for orbit in ("O1", "O2"):
+        base = distinguished_point(params, ctx, orbit)
+        assert all(all(_num_den(ctx, orbit, pt, base)) for pt in by_xy.values())
+
+
+def test_code_matrix_rejects_a_zero_num_at_a_generic_point(monkeypatch, p23, ctx23):
+    # a generic record at the ramified x = 1, where x - 1 = 0: only a broken
+    # stream yields it, and no column may take log 0
+    real = curve_mod._affine_logs
+
+    def with_ramified(params, ctx):
+        yield 1, 0, 0, [0, 21, 42]
+        yield from real(params, ctx)
+
+    monkeypatch.setattr(curve_mod, "_affine_logs", with_ramified)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"^num or den is 0 at the generic point \(1, 1\) for orbit O1, q=2, n=3$",
+    ):
+        code_matrix(p23, ctx23, "O1", 2)
+
+
+def test_stream_census_check_reaches_both_consumers(p23, ctx23):
+    wrong = p23._replace(rational_point_count=p23.rational_point_count + 1)
+    for consume in (enumerate_points, lambda params, ctx: code_matrix(params, ctx, "O2", 2)):
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^point count 225 != maximality count 226 for q=2, n=3$",
+        ):
+            consume(wrong, ctx23)
 
 
 def test_census_leaves_zech_table_unbuilt():
@@ -529,8 +576,8 @@ def test_prefix_certificate_widens_past_zero_leading_columns():
 def test_code_matrix_dependent_row_raises(monkeypatch, p23, ctx23):
     real = curve_mod.build_basis
 
-    def repeat_last(params, orbit, count, semigroup=None):
-        basis = real(params, orbit, count - 1, semigroup=semigroup)
+    def repeat_last(params, orbit, count):
+        basis = real(params, orbit, count - 1)
         return basis + basis[-1:]
 
     monkeypatch.setattr(curve_mod, "build_basis", repeat_last)

@@ -77,6 +77,16 @@ def test_order_bound_rejections(p25, s1):
             range_order_bound(p25, s1, index)
 
 
+def test_one_row_forms_reject_a_none_index():
+    # _window reads None as the regime's end, which made the one-row forms
+    # return their regime's first row (l = 29 and l = 10 at (2, 3))
+    p = curve_params(2, 3)
+    with pytest.raises(TypeError):
+        range_high_degree(p, None)
+    with pytest.raises(TypeError):
+        range_order_bound(p, semigroup_o1(p), None)
+
+
 def test_order_bound_reference_discrepancy(p25, s1):
     row = {"d_ord": 6, "s_min": 47, "s_max": 3871}
     rng = range_order_bound(p25, s1, 46, reference_row=row)
