@@ -265,13 +265,7 @@ def _cmd_quantum_table(args):
         from . import refdata
 
         rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
-        if refdata.has_reference(params):
-            ref = {r["l"]: r for r in refdata.load_quantum_reference(args.orbit)}
-            rows = [
-                r._replace(discrepancy=quantum._reference_note(
-                    ref.get(r.index), r.d_floor, r.s_min, r.s_max))
-                for r in rows
-            ]
+        rows = refdata._with_notes(params, args.orbit, rows)
         fields = ("index", "d_floor", "s_min", "s_max", "discrepancy")
         index, d_floor, s_min, s_max, notes = (map(attrgetter(f), rows) for f in fields)
         nrows = len(rows)

@@ -369,9 +369,9 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     point contributes its three logs once and each basis function its three
     exponents once.  `_affine_logs` gives the logs in the order of
     `evaluation_points`: per generic (x, y) the m log z, sorted by z, and log
-    num and log den once (x - 1 by a digit operation, x + y or y - a by XOR
-    for p = 2, else by a Zech addition).  The q^3 points with z = 0 or at
-    infinity, less the base point, take their entries from `eval_basis`.
+    num and log den once (x - 1 by a digit operation, x + y or y - a by one
+    `GfContext.add`).  The q^3 points with z = 0 or at infinity, less the
+    base point, take their entries from `eval_basis`.
     num and den are never 0 at a generic point: x - 1 = 0 makes x ramified,
     x + y = 0 gives y^{q+1} = x^{q+1}, x = 0 has w = 0, and y = a gives
     x^{q+1} = 0; a zero there is an InternalConsistencyError.
@@ -391,10 +391,9 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     base = distinguished_point(params, ctx, orbit)
     base_key = base.sort_key()
     basis = build_basis(params, orbit, count)
-    p, exp, log = ctx.p, ctx._exp, ctx._log
+    p, exp, log, add = ctx.p, ctx._exp, ctx._log, ctx.add
     n = ctx.order - 1
     is_o1 = orbit == ORBIT_INFINITE
-    zech = ctx._zech_table()  # None for p = 2
     neg_a = ctx.neg(base.y) if not is_o1 else 0  # den = y + (-a) for O2
     # the columns log z, log num and -log den, each read as 8-byte slots of
     # one integer, so a row's exponents are one integer combination; with the
@@ -412,14 +411,8 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
         if lzs is None:  # an O2 point (x, y, 0)
             hold(CurvePoint("affine", x, 0 if ly is None else exp[ly], 0, None, ORBIT_SMALL_AFFINE))
             continue
-        s = x if is_o1 else neg_a
         lnum = log[x - x % p + (x - 1) % p] if is_o1 else lx  # x - 1: digit 0 only
-        if zech is None:
-            lden = log[s ^ exp[ly]]
-        else:
-            ls = log[s]
-            z = zech[ly - ls]  # a negative index wraps mod n
-            lden = -1 if z < 0 else (ls + z) % n
+        lden = log[add(x if is_o1 else neg_a, exp[ly])]
         if lnum < 0 or lden < 0:
             raise InternalConsistencyError(f"num or den is 0 at the generic point ({x}, {exp[ly]}) "
                                            f"for orbit {orbit}, q={params.q}, n={params.n}")

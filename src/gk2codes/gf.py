@@ -19,8 +19,8 @@ characteristic the images are stored in packed b-bit slots, one per digit,
 so one integer addition sums both halves digit by digit, and three lookups
 of a few slots each reduce the slots mod p back to the serialized integer.
 Every table has at most 4096 entries for the even-degree fields of the
-curve layer.  The curve layer reads `_exp`, `_log` and `_zech_table()`
-directly for its log-domain point walk and code-matrix columns.
+curve layer.  The curve layer reads `_exp` and `_log` directly for its
+log-domain point walk and code-matrix columns, and adds through `add`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ InternalConsistencyError immediately.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -250,6 +250,12 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     (c) each set has the advertised cardinality, and (d) genus(S) minus the
     total partition size equals the curve genus.  Failures are reported, not
     raised: the report is itself the test oracle.
+
+    No set is built.  Set t (S_i for t = i < q^2 - q, else S_j for t = j) is
+    the q runs t*mq + (t + k)(q^2 - q) + c(q^n + 1), k = 1..length, one per
+    c < q, with length ts - t for S_i and (q^2 - q)s - t for S_j.  Each run
+    is one strided slice of the two closure tables and of one byte table of
+    marks, whose 2s count the values an earlier run of the same set holds.
     """
     from .semigroup import telescopic_genus
 
@@ -259,43 +265,31 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     seq = (m * q, m * q + step, qq1)
     g_s = telescopic_genus(seq)
 
-    sets: list[set[int]] = []
-    expected_sizes: list[int] = []
-    for i in range(1, step):
-        sets.append(
-            {
-                i * (m * q) + (i + k1) * step + k3 * qq1
-                for k1 in range(1, i * s - i + 1)
-                for k3 in range(q)
-            }
-        )
-        expected_sizes.append((i * s - i) * q)
-    for j in range(step, step * s):
-        sets.append(
-            {
-                j * (m * q) + (j + k2) * step + k3 * qq1
-                for k2 in range(1, step * s - j + 1)
-                for k3 in range(q)
-            }
-        )
-        expected_sizes.append((step * s - j) * q)
-
-    sizes_ok = all(len(t) == e for t, e in zip(sets, expected_sizes))
-
-    top = max((max(t) for t in sets if t), default=0)
+    sets = [(t, t * s - t if t < step else step * s - t)
+            for t in chain(range(1, step), range(step, step * s))]
+    top = max((t * m * q + (t + length) * step + (q - 1) * qq1
+               for t, length in sets if length > 0), default=0)
     h1 = closure_table(o1_generators(params), top)
     s_reach = closure_table(seq, top)
-    inside_ok = all(h1[x] and not s_reach[x] for t in sets for x in t)
-
-    union: set[int] = set()
+    marks = bytearray(top + 1)  # 1 on the earlier sets, 2 on the current one
+    ones, twos = b"\x01" * (step * s), b"\x02" * (step * s)  # longer than any run
+    inside_ok = disjoint_ok = sizes_ok = True
     total = 0
-    disjoint_ok = True
-    for t in sets:
-        total += len(t)
-        before = len(union)
-        union |= t
-        if len(union) != before + len(t):
-            disjoint_ok = False
+    for t, length in sets:
+        count = max(length, 0)
+        first = t * m * q + (t + 1) * step
+        runs = [slice(a, a + count * step, step) for a in range(first, first + q * qq1, qq1)]
+        size = q * count
+        for run in runs:
+            seen = marks[run]
+            inside_ok = inside_ok and 0 not in h1[run] and 1 not in s_reach[run]
+            disjoint_ok = disjoint_ok and 1 not in seen
+            size -= seen.count(2)
+            marks[run] = twos[:count]
+        for run in runs:
+            marks[run] = ones[:count]
+        sizes_ok = sizes_ok and size == length * q
+        total += size
 
     return PartitionReport(
         q=q,

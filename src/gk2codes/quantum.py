@@ -10,10 +10,6 @@ Two regimes, split by how the minimum-distance floor is obtained:
 Both regimes take one path: _window is the one place the regime intervals
 are written, _columns gives a window's fields as columns, and _rows zips them
 into the records that quantum_table and the one-row forms range_* return.
-
-Where a published reference row exists for (orbit, l), the computed range is
-compared against it and any difference is attached to the result; the
-formula output is never altered to match the reference.
 """
 
 from __future__ import annotations
@@ -36,7 +32,8 @@ class QuantumRange(NamedTuple):
 
     d_floor is the guaranteed lower bound for D; s runs over
     [s_min, s_max] inclusive (empty when s_max < s_min, flagged via empty).
-    discrepancy carries a note when a published row disagrees.
+    discrepancy carries a note on the row, such as "empty range" for an
+    empty high-degree row; None when there is none.
     """
 
     length: int
@@ -58,37 +55,15 @@ def range_high_degree(params: CurveParams, index: int) -> QuantumRange:
     return _rows(params, None, index, index, REGIME_HIGH_DEGREE)[0]
 
 
-def _reference_note(reference_row: dict[str, int] | None, d: int, s_min: int,
-                    s_max: int) -> str | None:
-    """How a range (d, s_min, s_max) differs from its published row; None if it does not."""
-    if reference_row is None:
-        return None
-    diffs = [
-        f"{key} computed {have} != published {reference_row[key]}"
-        for key, have in (("d_ord", d), ("s_min", s_min), ("s_max", s_max))
-        if reference_row.get(key) != have
-    ]
-    return "; ".join(diffs) if diffs else None
-
-
 def range_order_bound(
-    params: CurveParams,
-    semigroup: NumericalSemigroup,
-    index: int,
-    reference_row: dict[str, int] | None = None,
+    params: CurveParams, semigroup: NumericalSemigroup, index: int
 ) -> QuantumRange:
     """Feng-Rao-floor regime: l in [g, 3g-1].
 
     s_min = max(2g-l, 1); s_max = min(N-2l, N-l-g+1-d_ord); D >= d_ord.
-    If reference_row (keys d_ord, s_min, s_max) is given, differences are
-    recorded in the discrepancy field.
     """
     index = operator.index(index)  # _window would read None as the regime's end
-    row = _rows(params, semigroup, index, index, REGIME_ORDER_BOUND)[0]
-    if reference_row is None:
-        return row
-    note = _reference_note(reference_row, row.d_floor, row.s_min, row.s_max)
-    return row._replace(discrepancy=note)
+    return _rows(params, semigroup, index, index, REGIME_ORDER_BOUND)[0]
 
 
 def _window(

@@ -6,6 +6,12 @@ range tables per orbit), kept exactly as printed including typos.  Computed
 values are never overwritten to match the reference: every cell where the
 two disagree, and every structural oddity of the printed tables (first
 column typos, a duplicated cell, an omitted cell), is reported side by side.
+
+A computed CSS range and its printed row are compared in one place,
+_cell_mismatches, cell by cell in the order d_ord, s_min, s_max.  Its
+mismatches make the discrepancy notes of the quantum-table rows (_with_notes)
+and the two mismatch lists of compare_quantum_table; the formula output is
+never altered to match the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import NamedTuple
 
 from .fengrao import table as fengrao_table
 from .gk2 import CurveParams
-from .quantum import range_order_bound
+from .quantum import QuantumRange, quantum_table
 from .semigroup import NumericalSemigroup
 
 REFERENCE_QN = (2, 5)
@@ -130,20 +136,47 @@ class QuantumTableComparison:
         }
 
 
+def _cell_mismatches(row: QuantumRange, printed: dict[str, int]) -> list[CellMismatch]:
+    """The cells where a range and its printed row differ: d_ord, s_min, s_max, in that order."""
+    cells = (("d_ord", row.d_floor), ("s_min", row.s_min), ("s_max", row.s_max))
+    return [CellMismatch(row.index, col, have, printed[col])
+            for col, have in cells if have != printed[col]]
+
+
+def _with_notes(params: CurveParams, orbit: str, rows: list[QuantumRange]) -> list[QuantumRange]:
+    """The order-bound rows, with a discrepancy note on each that has a published row.
+
+    The note joins "<cell> computed <value> != published <value>" over the
+    cells that differ, with "; ", and is None when none does.  The other
+    rows, and all rows when (q, n) has no reference, are left as they are.
+    """
+    if not has_reference(params):
+        return rows
+    published = {r["l"]: r for r in load_quantum_reference(orbit)}
+    return [
+        row._replace(discrepancy="; ".join(
+            f"{m.column} computed {m.computed} != published {m.reference}"
+            for m in _cell_mismatches(row, published[row.index])) or None)
+        if row.index in published else row
+        for row in rows
+    ]
+
+
 def compare_quantum_table(
     params: CurveParams, semigroup: NumericalSemigroup, orbit: str
 ) -> QuantumTableComparison:
-    """Check every printed CSS range row; the formula output stays normative."""
+    """Check every printed CSS range row; the formula output stays normative.
+
+    One quantum_table over the printed l-window gives the computed ranges.
+    """
     if not has_reference(params):
         raise ValueError(f"no reference table for q={params.q}, n={params.n}")
+    printed = load_quantum_reference(orbit)
+    l_min = min(r["l"] for r in printed)
+    rows = quantum_table(params, semigroup, l_min, max(r["l"] for r in printed))
     comp = QuantumTableComparison(orbit=orbit)
-    for r in load_quantum_reference(orbit):
-        rng = range_order_bound(params, semigroup, r["l"])
-        comp.rows_checked += 1
-        if rng.d_floor != r["d_ord"]:
-            comp.d_or_smax_mismatches.append(CellMismatch(r["l"], "d_ord", rng.d_floor, r["d_ord"]))
-        if rng.s_max != r["s_max"]:
-            comp.d_or_smax_mismatches.append(CellMismatch(r["l"], "s_max", rng.s_max, r["s_max"]))
-        if rng.s_min != r["s_min"]:
-            comp.s_min_mismatches.append(CellMismatch(r["l"], "s_min", rng.s_min, r["s_min"]))
+    comp.rows_checked = len(printed)
+    for r in printed:
+        for m in _cell_mismatches(rows[r["l"] - l_min], r):
+            (comp.s_min_mismatches if m.column == "s_min" else comp.d_or_smax_mismatches).append(m)
     return comp

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
@@ -198,6 +199,14 @@ TABLE_SHA256 = {
         "7638664ba2cc4970dce95138061902570d7ae75f912f5bdef408c1b6903c5d51",
     "verify --q 3 --n 5 --format md":
         "43ee20dfd48ba36d71796d01b45a6b597f0c6a34da0865c172af5c93fe14b8f7",
+    # the one verify that runs the reference comparisons; the json sha256 is
+    # the one recorded for it in perfbench/golden.json
+    "verify --q 2 --n 5":
+        "99db12d0634da31acff38a08e7ab6b8d5ea66a5b2dacce1bd41c5888b48476f3",
+    "verify --q 2 --n 5 --format csv":
+        "a3993bc8cede0c584ebe01ed9bce097212b708f8bd22a51d3f166f0b042a6d88",
+    "verify --q 2 --n 5 --format md":
+        "0438e541e9ed67d1b108c3a36771a4185e331e7db738793f9b078847bee77d93",
 }
 
 
@@ -377,6 +386,18 @@ def _render_table(fmt, meta, headers, rows):
     return "\n".join(lines) + "\n"
 
 
+def _reference_note(reference_row, d, s_min, s_max):
+    """The former quantum._reference_note: how (d, s_min, s_max) differs from its printed row."""
+    if reference_row is None:
+        return None
+    diffs = [
+        f"{key} computed {have} != published {reference_row[key]}"
+        for key, have in (("d_ord", d), ("s_min", s_min), ("s_max", s_max))
+        if reference_row.get(key) != have
+    ]
+    return "; ".join(diffs) if diffs else None
+
+
 def _oracle_table(command, q, n, orbit, fmt, lmin=None, lmax=None,
                   regime=quantum.REGIME_ORDER_BOUND):
     """The former gaps, fengrao-table and quantum-table subcommands."""
@@ -396,8 +417,8 @@ def _oracle_table(command, q, n, orbit, fmt, lmin=None, lmax=None,
     rows = quantum.quantum_table(params, sg, lmin, lmax, regime=regime)
     if refdata.has_reference(params) and regime == quantum.REGIME_ORDER_BOUND:
         ref = {r["l"]: r for r in refdata.load_quantum_reference(orbit)}
-        rows = [quantum.range_order_bound(params, sg, r.index, reference_row=ref.get(r.index))
-                for r in rows]
+        notes = [_reference_note(ref.get(r.index), r.d_floor, r.s_min, r.s_max) for r in rows]
+        rows = [r._replace(discrepancy=note) for r, note in zip(rows, notes)]
     meta = {"command": command, "q": q, "n": n, "orbit": orbit, "regime": regime, "N": length}
     return _render_table(fmt, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"],
                          [[r.index, r.d_floor, r.s_min, r.s_max, r.discrepancy or ""]
@@ -514,20 +535,27 @@ def test_high_degree_cli_builds_no_records(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == (0, want, "")
 
 
-@pytest.mark.parametrize("job", [
-    ("quantum-table", 2, 5, "O1", {}),  # the reference notes
-    ("quantum-table", 3, 3, "O2", {"lmin": 150, "lmax": 296}),
-    ("quantum-table", 2, 3, "O1", {"regime": quantum.REGIME_HIGH_DEGREE}),
-], ids=lambda j: " ".join(_table_argv(*j)))
-def test_cli_tables_call_no_one_row_form(capsys, monkeypatch, job):
-    want = _oracle_table(*job[:4], "csv", **job[4])
+@pytest.mark.parametrize("argv", [
+    "quantum-table --q 2 --n 5 --orbit O1",  # the reference notes
+    "quantum-table --q 3 --n 3 --orbit O2 --lmin 150 --lmax 296",
+    "quantum-table --q 2 --n 3 --orbit O1 --regime high-degree",
+    "verify --q 2 --n 5",  # the reference comparisons
+])
+def test_cli_tables_call_no_one_row_form(capsys, monkeypatch, argv):
+    argv = [*argv.split(), "--format", "csv"]
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0
 
     def one_row(*args, **kwargs):
         raise AssertionError("the table was built through a one-row form")
 
-    monkeypatch.setattr(quantum, "range_order_bound", one_row)
-    monkeypatch.setattr(quantum, "range_high_degree", one_row)
-    assert run_cli(capsys, *_table_argv(*job), "--format", "csv") == (0, want, "")
+    # every name the one-row forms are bound to, in quantum and in refdata
+    forms = (quantum.range_order_bound, quantum.range_high_degree)
+    for mod in (quantum, refdata):
+        for name, value in list(vars(mod).items()):
+            if any(value is form for form in forms):
+                monkeypatch.setattr(mod, name, one_row)
+    assert run_cli(capsys, *argv) == want
 
 
 @pytest.mark.parametrize("lmin, lmax", [(5, 40), (40, 30), (None, 10000)])
@@ -564,6 +592,29 @@ def test_reference_notes_cost_no_second_pass(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 2 * 46
     assert out == _oracle_table("quantum-table", 2, 5, "O1", "json")
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+def test_reference_notes_match_the_former_note_formula(monkeypatch, orbit):
+    # every order-bound row at (2, 5) against printed rows that differ from it
+    # in 0, 1, 2 or 3 cells; every fifth row has no printed row
+    params = curve_params(2, 5)
+    rows = quantum.quantum_table(params, orbit_semigroup(params, orbit))
+    subsets = [cells for k in range(4) for cells in combinations(("d_ord", "s_min", "s_max"), k)]
+    for shift in range(len(subsets)):
+        printed = {}
+        for i, r in enumerate(rows):
+            cells = subsets[(i + shift) % len(subsets)]
+            computed = {"d_ord": r.d_floor, "s_min": r.s_min, "s_max": r.s_max}
+            printed[r.index] = {"l": r.index, **{key: value + (key in cells) * (1 - 2 * (i % 2))
+                                                 for key, value in computed.items()}}
+        for l in list(printed)[::5]:
+            del printed[l]
+        monkeypatch.setattr(refdata, "load_quantum_reference", lambda orb: list(printed.values()))
+        noted = refdata._with_notes(params, orbit, rows)
+        assert [r.discrepancy for r in noted] == [
+            _reference_note(printed.get(r.index), r.d_floor, r.s_min, r.s_max) for r in rows]
+        assert [r._replace(discrepancy=None) for r in noted] == rows
 
 
 def test_high_degree_table_golden_bytes(capsys):

@@ -262,6 +262,63 @@ def test_partition_q2_n3():
     assert rep.telescopic_genus - rep.partition_total == 10
 
 
+def _partition_by_sets(params):
+    """The former verify_partition, on Python sets of the S_i and S_j: the oracle."""
+    from gk2codes.semigroup import closure_table, telescopic_genus
+
+    q, m, s = params.q, params.m, params.s
+    step = q * q - q
+    qq1 = q**params.n + 1
+    seq = (m * q, m * q + step, qq1)
+    g_s = telescopic_genus(seq)
+    sets, expected_sizes = [], []
+    for i in range(1, step):
+        sets.append({i * (m * q) + (i + k1) * step + k3 * qq1
+                     for k1 in range(1, i * s - i + 1) for k3 in range(q)})
+        expected_sizes.append((i * s - i) * q)
+    for j in range(step, step * s):
+        sets.append({j * (m * q) + (j + k2) * step + k3 * qq1
+                     for k2 in range(1, step * s - j + 1) for k3 in range(q)})
+        expected_sizes.append((step * s - j) * q)
+    sizes_ok = all(len(t) == e for t, e in zip(sets, expected_sizes))
+    top = max((max(t) for t in sets if t), default=0)
+    h1 = closure_table(o1_generators(params), top)
+    s_reach = closure_table(seq, top)
+    inside_ok = all(h1[x] and not s_reach[x] for t in sets for x in t)
+    union, total, disjoint_ok = set(), 0, True
+    for t in sets:
+        total += len(t)
+        before = len(union)
+        union |= t
+        if len(union) != before + len(t):
+            disjoint_ok = False
+    return gk2.PartitionReport(q, params.n, g_s, total, params.genus, inside_ok, disjoint_ok,
+                               sizes_ok, g_s - total == params.genus)
+
+
+def _report_or_error(fn, params):
+    try:
+        return fn(params)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_partition_matches_the_set_oracle():
+    # the true parameters, then m and s moved off them: the flags go False
+    # (and non-telescopic sequences raise) exactly where the set version's do
+    cases = [curve_params(q, n) for q, n in [*SWEEP, (4, 5), (2, 9)]]
+    cases += [p._replace(m=p.m + dm, s=p.s + ds)
+              for p in cases for dm in range(-3, 4) for ds in range(-2, 4) if dm or ds]
+    reports = []
+    for params in cases:
+        want = _report_or_error(_partition_by_sets, params)
+        assert _report_or_error(verify_partition, params) == want, params
+        reports.append(want)
+    reports = [r for r in reports if isinstance(r, gk2.PartitionReport)]
+    for flag in range(5, 9):  # the four checks each fail somewhere
+        assert not all(r[flag] for r in reports), gk2.PartitionReport._fields[flag]
+
+
 def test_frobenius_dimensions():
     p25 = curve_params(2, 5)
     assert frobenius_dimension_gk2(p25) == 7

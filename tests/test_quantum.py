@@ -87,13 +87,6 @@ def test_one_row_forms_reject_a_none_index():
         range_order_bound(p, semigroup_o1(p), None)
 
 
-def test_order_bound_reference_discrepancy(p25, s1):
-    row = {"d_ord": 6, "s_min": 47, "s_max": 3871}
-    rng = range_order_bound(p25, s1, 46, reference_row=row)
-    assert rng.discrepancy == "s_min computed 46 != published 47"
-    assert (rng.s_min, rng.s_max) == (46, 3871)  # formula output is normative
-
-
 def test_css_dimension_arithmetic(p25, s1):
     # nested duals: dims N - h(rho_l) and N - h(rho_{l+s}) differ by exactly s
     length = p25.rational_point_count - 1

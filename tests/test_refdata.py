@@ -8,8 +8,11 @@ in the engines or an edit to the fixtures.
 
 import pytest
 
+from gk2codes import refdata
 from gk2codes.gk2 import curve_params, semigroup_o1, semigroup_o2
+from gk2codes.quantum import quantum_table
 from gk2codes.refdata import (
+    _with_notes,
     compare_code_table,
     compare_quantum_table,
     has_reference,
@@ -84,6 +87,27 @@ def test_quantum_table_o2_cells(p25, semigroups):
     comp = compare_quantum_table(p25, semigroups["O2"], "O2")
     assert comp.rows_checked == 36
     assert comp.clean
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+def test_quantum_comparison_reads_one_table(monkeypatch, p25, semigroups, orbit):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:])
+        return quantum_table(*args, **kwargs)
+
+    monkeypatch.setattr(refdata, "quantum_table", counted)
+    assert compare_quantum_table(p25, semigroups[orbit], orbit).rows_checked
+    assert calls == [(46, 105 if orbit == "O1" else 104)]  # the printed l-window
+
+
+def test_order_bound_reference_discrepancy(p25, semigroups):
+    row = {"l": 46, "d_ord": 6, "s_min": 47, "s_max": 3871}
+    assert row in load_quantum_reference("O1")
+    [rng] = _with_notes(p25, "O1", quantum_table(p25, semigroups["O1"], 46, 46))
+    assert rng.discrepancy == "s_min computed 46 != published 47"
+    assert (rng.s_min, rng.s_max) == (46, 3871)  # formula output is normative
 
 
 def test_omitted_o1_cell_values(p25, semigroups):
