@@ -17,7 +17,7 @@ from itertools import chain, compress
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
-from .semigroup import NumericalSemigroup, closure_table
+from .semigroup import NumericalSemigroup, telescopic_genus
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
@@ -164,6 +164,12 @@ def holomorphic_gap_set(params: CurveParams) -> tuple[int, ...]:
     of the O2 semigroup.  Duplicate valuations would contradict the
     uniqueness of the triple representation, so they raise.
     """
+    seen = _holomorphic_gap_indicator(params)
+    return tuple(compress(range(len(seen)), seen))
+
+
+def _holomorphic_gap_indicator(params: CurveParams) -> bytearray:
+    """holomorphic_gap_set's byte table, after all its checks: 1 on each gap."""
     q, n, m = params.q, params.n, params.m
     budget = params.differential_pole_bound
     qq1 = q**n + 1
@@ -195,7 +201,7 @@ def holomorphic_gap_set(params: CurveParams) -> tuple[int, ...]:
         raise InternalConsistencyError(
             f"differential gap set != O2 semigroup complement for q={q}, n={n}"
         )
-    return tuple(compress(range(len(seen)), seen))
+    return seen
 
 
 def canonical_triple(params: CurveParams, value: int) -> tuple[int, int, int]:
@@ -221,7 +227,10 @@ def canonical_triple(params: CurveParams, value: int) -> tuple[int, int, int]:
 
 
 class PartitionReport(NamedTuple):
-    """Outcome of the telescopic-partition verification for one (q, n)."""
+    """Outcome of the telescopic-partition verification for one (q, n).
+
+    telescopic_genus is the genus of the sieve of S, not the closed form.
+    """
 
     q: int
     n: int
@@ -254,23 +263,28 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     No set is built.  Set t (S_i for t = i < q^2 - q, else S_j for t = j) is
     the q runs t*mq + (t + k)(q^2 - q) + c(q^n + 1), k = 1..length, one per
     c < q, with length ts - t for S_i and (q^2 - q)s - t for S_j.  Each run
-    is one strided slice of the two closure tables and of one byte table of
-    marks, whose 2s count the values an earlier run of the same set holds.
+    is one strided slice of the member tables of H1 and S and of one byte
+    table of marks, whose 2s count the values an earlier run of the same set
+    holds.  S and H1 are sieves that prove their conductors: S, symmetric
+    as telescopic, closes once from twice its closed-form genus.  H1 is built
+    only if some set is nonempty, which needs s >= 2, so that mq, mq + q^2 - q
+    and q^n + 1 are O1 generators and gcd(H1) = 1.
     """
-    from .semigroup import telescopic_genus
-
     q, m, s = params.q, params.m, params.s
     step = q * q - q
     qq1 = q**params.n + 1
     seq = (m * q, m * q + step, qq1)
-    g_s = telescopic_genus(seq)
+    sg_s = NumericalSemigroup.from_generators(seq, conductor_hint=2 * telescopic_genus(seq))
 
     sets = [(t, t * s - t if t < step else step * s - t)
             for t in chain(range(1, step), range(step, step * s))]
     top = max((t * m * q + (t + length) * step + (q - 1) * qq1
                for t, length in sets if length > 0), default=0)
-    h1 = closure_table(o1_generators(params), top)
-    s_reach = closure_table(seq, top)
+    s_reach = sg_s._member_table(top)
+    h1 = b""  # read by nonempty runs only
+    if top:
+        h1 = NumericalSemigroup.from_generators(
+            o1_generators(params), conductor_hint=2 * params.genus)._member_table(top)
     marks = bytearray(top + 1)  # 1 on the earlier sets, 2 on the current one
     ones, twos = b"\x01" * (step * s), b"\x02" * (step * s)  # longer than any run
     inside_ok = disjoint_ok = sizes_ok = True
@@ -294,13 +308,13 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     return PartitionReport(
         q=q,
         n=params.n,
-        telescopic_genus=g_s,
+        telescopic_genus=sg_s.genus,
         partition_total=total,
         curve_genus=params.genus,
         sets_inside_h1_minus_s=inside_ok,
         sets_pairwise_disjoint=disjoint_ok,
         set_sizes_match_formula=sizes_ok,
-        genus_count_matches=(g_s - total == params.genus),
+        genus_count_matches=(sg_s.genus - total == params.genus),
     )
 
 

@@ -7,11 +7,13 @@ values are never overwritten to match the reference: every cell where the
 two disagree, and every structural oddity of the printed tables (first
 column typos, a duplicated cell, an omitted cell), is reported side by side.
 
-A computed CSS range and its printed row are compared in one place,
-_cell_mismatches, cell by cell in the order d_ord, s_min, s_max.  Its
-mismatches make the discrepancy notes of the quantum-table rows (_with_notes)
-and the two mismatch lists of compare_quantum_table; the formula output is
-never altered to match the reference.
+A computed row and its printed row are compared in one place,
+_cell_mismatches, cell by cell in the order of a printed-column -> field map:
+rho_l, nu_l, d_ord for the classical tables, d_ord, s_min, s_max for the CSS
+ranges.  Its mismatches make the value mismatches of compare_code_table, the
+discrepancy notes of the quantum-table rows (_with_notes) and the two
+mismatch lists of compare_quantum_table; the formula output is never altered
+to match the reference.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ class CellMismatch(NamedTuple):
     column: str
     computed: int
     reference: int
+
+
+# printed column -> field of the computed row, in comparison order
+_CODE_CELLS = {"rho_l": "rho", "nu_l": "nu", "d_ord": "d_ord"}
+_QUANTUM_CELLS = {"d_ord": "d_floor", "s_min": "s_min", "s_max": "s_max"}
+
+
+def _cell_mismatches(row, printed: dict[str, int], cells: dict[str, str]) -> list[CellMismatch]:
+    """The cells where a computed row and its printed row differ, in the order of cells."""
+    return [CellMismatch(row.index, col, have, printed[col])
+            for col, field in cells.items() if (have := getattr(row, field)) != printed[col]]
 
 
 class CodeTableComparison:
@@ -103,12 +116,8 @@ def compare_code_table(
         if k in seen_k:
             comp.duplicated_cells.append(k)
         seen_k.add(k)
-        got = computed[length - k]
         comp.rows_checked += 1
-        for col, want in (("rho_l", r["rho_l"]), ("nu_l", r["nu_l"]), ("d_ord", r["d_ord"])):
-            have = {"rho_l": got.rho, "nu_l": got.nu, "d_ord": got.d_ord}[col]
-            if have != want:
-                comp.value_mismatches.append(CellMismatch(got.index, col, have, want))
+        comp.value_mismatches += _cell_mismatches(computed[length - k], r, _CODE_CELLS)
     printed_indices = {length - k for k in seen_k}
     comp.omitted_indices = sorted(set(range(1, l_max + 1)) - printed_indices)
     return comp
@@ -136,13 +145,6 @@ class QuantumTableComparison:
         }
 
 
-def _cell_mismatches(row: QuantumRange, printed: dict[str, int]) -> list[CellMismatch]:
-    """The cells where a range and its printed row differ: d_ord, s_min, s_max, in that order."""
-    cells = (("d_ord", row.d_floor), ("s_min", row.s_min), ("s_max", row.s_max))
-    return [CellMismatch(row.index, col, have, printed[col])
-            for col, have in cells if have != printed[col]]
-
-
 def _with_notes(params: CurveParams, orbit: str, rows: list[QuantumRange]) -> list[QuantumRange]:
     """The order-bound rows, with a discrepancy note on each that has a published row.
 
@@ -156,7 +158,7 @@ def _with_notes(params: CurveParams, orbit: str, rows: list[QuantumRange]) -> li
     return [
         row._replace(discrepancy="; ".join(
             f"{m.column} computed {m.computed} != published {m.reference}"
-            for m in _cell_mismatches(row, published[row.index])) or None)
+            for m in _cell_mismatches(row, published[row.index], _QUANTUM_CELLS)) or None)
         if row.index in published else row
         for row in rows
     ]
@@ -177,6 +179,6 @@ def compare_quantum_table(
     comp = QuantumTableComparison(orbit=orbit)
     comp.rows_checked = len(printed)
     for r in printed:
-        for m in _cell_mismatches(rows[r["l"] - l_min], r):
+        for m in _cell_mismatches(rows[r["l"] - l_min], r, _QUANTUM_CELLS):
             (comp.s_min_mismatches if m.column == "s_min" else comp.d_or_smax_mismatches).append(m)
     return comp

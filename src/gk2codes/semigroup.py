@@ -59,6 +59,13 @@ def closure_table(generators, bound: int) -> bytearray:
     element.  The other generators are added by shift-or on the table read as
     an int, one byte per value, so no shift carries from one value into the
     next.
+
+    A generator g only needs its multiples c*g with c < k, k the least k >= 1
+    with k*g already in the run's table: a closed table T has T + k*g in T.
+    The shifts by g, 2g, 4g, ... stop once they cover c < k, or at the bound
+    when no multiple of g within it is in the table.  For the orbit and
+    telescopic sets q*(q^n + 1) = (q + 1)*mq, where the generator outside the
+    run is one factor and a run element the other, so k <= q + 1.
     """
     gens = sorted(set(generators))
     start, stop = _longest_run(gens)
@@ -68,8 +75,11 @@ def closure_table(generators, bound: int) -> bytearray:
         return table
     reach = int.from_bytes(table, "little")
     for g in rest:
-        stride = g  # shifts by g, 2g, 4g, ... add every multiple of g up to the bound
-        while stride <= bound:
+        # k*g read off the run's table: k is at least the least k with k*g
+        # in the growing table, which costs doublings, never correctness
+        limit = (table[g::g].find(1) + 1) * g or bound + 1
+        stride = g  # shifts by g, 2g, 4g, ... add every multiple of g below limit
+        while stride < limit:
             # only the values that stay within the bound are shifted
             reach |= (reach & ((1 << 8 * (bound + 1 - stride)) - 1)) << 8 * stride
             stride <<= 1
@@ -127,6 +137,10 @@ class NumericalSemigroup:
     def _gap_indicator(self) -> bytes:
         """1 for a gap, 0 for a nongap, on [0, conductor)."""
         return self._sieve[:self.conductor].translate(_FLIP_BITS)
+
+    def _member_table(self, top: int) -> bytes:
+        """1 for a nongap, 0 for a gap, on [0, top]: the sieve, then members."""
+        return self._sieve[:top + 1] + b"\x01" * (top + 1 - len(self._sieve))
 
     def _key(self):
         return self.generators, self.conductor, self._sieve

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from gk2codes import cli, fengrao, quantum, refdata
+from gk2codes import cli, fengrao, gk2, quantum, refdata, semigroup
 from gk2codes.cli import main
 from gk2codes.gk2 import curve_params, holomorphic_gap_set, orbit_semigroup, semigroup_o1
 from gk2codes.semigroup import NumericalSemigroup
@@ -207,6 +207,19 @@ TABLE_SHA256 = {
         "a3993bc8cede0c584ebe01ed9bce097212b708f8bd22a51d3f166f0b042a6d88",
     "verify --q 2 --n 5 --format md":
         "0438e541e9ed67d1b108c3a36771a4185e331e7db738793f9b078847bee77d93",
+    # partitions with nonempty sets past the reference rung, no field built
+    "verify --q 3 --n 7":
+        "a7a626abbda222863f4549c55f7ae3ea8341d875c7acfe288e16d7a57fa6ed36",
+    "verify --q 3 --n 7 --format csv":
+        "fd3921ee2660d1ef8cd6ed4c32d1b042a438246e3b04df5fa9d7c5e55f6d088f",
+    "verify --q 3 --n 7 --format md":
+        "0725b5d6485d01443e0aa1f2d3489a9604ffb98b84ea6f6d5b38e0fa248e5e38",
+    "verify --q 5 --n 5":
+        "9f3a7c5162d539e6e15b1ffc941057145d893f8995ea13bd2bc608da73f25964",
+    "verify --q 5 --n 5 --format csv":
+        "c374ad29bc4942a69a4e7ffad87418cbaa9eb075fb76fc2a87226dc4534310bf",
+    "verify --q 5 --n 5 --format md":
+        "7f4ac3ba2802389d5208f6da5d24a1e2cd8a237df4df89d74551152a9a43138b",
 }
 
 
@@ -474,6 +487,39 @@ def test_gaps_o1_streams_off_the_sieve(capsys, monkeypatch, fmt):
     code, out, err = run_cli(capsys, "gaps", "--q", "2", "--n", "5", "--orbit", "O1",
                              "--format", fmt)
     assert (code, err, out) == (0, "", want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_gaps_o2_streams_off_the_checked_bytes(capsys, monkeypatch, fmt):
+    # the O2 column is read off the checked gap bytes: no tuple of the gaps is built
+    want = _oracle_table("gaps", 2, 5, "O2", fmt)
+
+    def unbuilt(params):
+        raise AssertionError("holomorphic_gap_set called")
+
+    monkeypatch.setattr(gk2, "holomorphic_gap_set", unbuilt)
+    monkeypatch.setattr(cli, "holomorphic_gap_set", unbuilt)
+    code, out, err = run_cli(capsys, "gaps", "--q", "2", "--n", "5", "--orbit", "O2",
+                             "--format", fmt)
+    assert (code, err, out) == (0, "", want)
+
+
+def test_verify_closes_the_telescopic_sequence_once(capsys, monkeypatch):
+    # verify_partition's sieve of S serves the genus cross-check: one closure
+    params = curve_params(2, 5)
+    step = params.q**2 - params.q
+    seq = sorted((params.m * params.q, params.m * params.q + step, params.q**params.n + 1))
+    closed = []
+    real = semigroup.closure_table
+
+    def counted(generators, bound):
+        closed.append(sorted(set(generators)))
+        return real(generators, bound)
+
+    monkeypatch.setattr(semigroup, "closure_table", counted)
+    monkeypatch.setattr(gk2, "closure_table", counted, raising=False)
+    assert run_cli(capsys, "verify", "--q", "2", "--n", "5")[0] == 0
+    assert closed.count(seq) == 1
 
 
 CELLS = {

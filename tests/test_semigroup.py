@@ -4,12 +4,19 @@ from bisect import bisect_left, bisect_right
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gk2codes import cli
-from gk2codes.gk2 import curve_params, semigroup_o1
-from gk2codes.semigroup import NumericalSemigroup, is_telescopic, telescopic_genus
+from gk2codes.gk2 import curve_params, o1_generators, o2_generators, semigroup_o1
+from gk2codes.semigroup import (
+    NumericalSemigroup,
+    _longest_run,
+    _run_sums,
+    closure_table,
+    is_telescopic,
+    telescopic_genus,
+)
 
 
 def closure_upto(gens, bound):
@@ -26,6 +33,24 @@ def closure_upto(gens, bound):
                     nxt.append(w)
         frontier = nxt
     return members
+
+
+def closure_table_doubling(generators, bound):
+    """Oracle: the former closure_table, each generator off the run doubled up to the bound."""
+    gens = sorted(set(generators))
+    start, stop = _longest_run(gens)
+    table = _run_sums(gens[start:stop], bound)
+    rest = gens[:start] + gens[stop:]
+    if not rest:
+        return table
+    reach = int.from_bytes(table, "little")
+    for g in rest:
+        stride = g
+        while stride <= bound:
+            reach |= (reach & ((1 << 8 * (bound + 1 - stride)) - 1)) << 8 * stride
+            stride <<= 1
+    table[:] = reach.to_bytes(bound + 1, "little")
+    return table
 
 
 def count_nongaps_upto_search(s, value):
@@ -226,6 +251,26 @@ def test_telescopic_genus_cross_check_random():
         if not is_telescopic(seq):
             continue
         assert telescopic_genus(seq) == NumericalSemigroup.from_generators(seq).genus
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=6), st.integers(0, 600))
+@example([10, 12, 31], 40)  # no multiple of 31 within the bound is a run sum
+@example([10, 12, 31], 400)  # 2 * 31 is: one shift, by 31
+@example([6, 9, 12, 7, 11], 200)  # two generators off the run
+@example([5, 25, 9], 60)  # 25 is a run sum itself: no shift at all
+def test_closure_stops_at_the_first_multiple_in_the_run_table(gens, bound):
+    assert closure_table(gens, bound) == closure_table_doubling(gens, bound)
+
+
+@pytest.mark.parametrize("qn", [(2, 5), (3, 5)])
+def test_closure_stops_at_the_first_multiple_on_the_paper_sets(qn):
+    params = curve_params(*qn)
+    q, m = params.q, params.m
+    telescopic = (m * q, m * q + q * q - q, q**params.n + 1)
+    bound = 2 * telescopic_genus(telescopic) + m * q + 1  # the sieve bound of S
+    for gens in (o1_generators(params), o2_generators(params), telescopic):
+        assert closure_table(gens, bound) == closure_table_doubling(gens, bound), gens
 
 
 generator_sets = st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
