@@ -20,14 +20,16 @@ x = g^{j + k s}, k = 0..q:
 
 Subtracting 1 changes only the constant coefficient, so u - 1 and c - 1 are
 two digit operations on the serialized integer.  The walk yields one
-(x, log x, ly, lw) per nonempty x-fiber.  The census counts one point per
-ramified x, q+1 per w = 0 fiber, and m per y_i with m | lw + i s, read from a
-table over lw mod m.  `_affine_logs`, the one ordered stream that enumeration
-and code matrices read, sorts the records by x and expands each into its y_i,
-sorted, and, where m | lw + i s (m divides o), the logs of the m-th roots
-z = g^{(lw + i s)/m + t o/m}, t < m, sorted by z; once exhausted it checks the
-point counts, as `census` does.  The q+1 points at infinity carry a (q+1)-st
-root of unity as coordinate.
+(j, ly, lw) per nonempty group, lw the log of w at (g^j, g^ly); at
+x = g^{j + k s} it is lw + k s.  The census counts q+1 points for x = 0 and
+for the ramified group, (q+1)^2 for a w = 0 group, and m per (x, y_i) with
+m | lw + (k + i) s, read from a table over lw mod m that sums the group's
+q+1 x.  `_affine_logs`, the one ordered stream that enumeration and code
+matrices read, expands each group into its q+1 x, sorts them, and expands
+each x into its y_i, sorted, and, where m | lw + (k + i) s (m divides o), the
+logs of the m-th roots z = g^{(lw + (k + i) s)/m + t o/m}, t < m, sorted by
+z; once exhausted it checks the point counts, as `census` does.  The q+1
+points at infinity carry a (q+1)-st root of unity as coordinate.
 
 An affine point lies in the orbit O2 (all coordinates in F_{q^2}) exactly
 when w = 0.  Off the ramified x, y^{q+1} = x^{q+1} - 1 != 0, so w = 0 iff
@@ -40,12 +42,14 @@ are the two orbit sizes q+1 and q^3 - q.
 Code matrices evaluate a pole-order basis of the one-point Riemann-Roch
 space at all rational points except the distinguished one, in a fixed order
 (affine points sorted by serialized (x, y, z), then infinite points by
-serialized coordinate), so matrices are bit-identical across runs.
+serialized coordinate), so matrices are bit-identical across runs.  Their
+rank profile can be certified on the leading columns alone
+(`_rank_certificate`), which reads the stream only as far as it builds.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError, NeedsLocalResolutionError, PoleEvaluationError
@@ -91,34 +95,30 @@ def small_field_elements(params: CurveParams, ctx: GfContext) -> frozenset[int]:
 
 
 def _fibers(params: CurveParams, ctx: GfContext):
-    """Yield (x, lx, ly, lw) per nonempty affine x-fiber, grouped by x^{q+1}.
+    """Yield (j, ly, lw) per nonempty group of affine x-fibers with one x^{q+1}.
 
-    lx = log x is None for x = 0.  ly is None for the q+1 ramified x, whose
-    fiber is the point (x, 0, 0).
-    Otherwise the fiber's y are g^(ly + i step), i = 0..q, with
-    step = (order - 1)/(q + 1), and lw is None where w = 0 on the whole fiber
-    (the O2 fibers), else log w = lw + i step at the i-th y.  The module
-    docstring derives the formulas.
+    With step = (order - 1)/(q + 1), the group j is the q+1 values
+    x = g^(j + k step), k = 0..q; j is None for x = 0, a group of one, which
+    comes first.  ly is None for the ramified group (j = 0), each of whose x
+    carries the one point (x, 0, 0).  Otherwise the fiber of each x is
+    y = g^(ly + i step), i = 0..q, and lw is None where w = 0 on the whole
+    group (the O2 fibers), else log w = lw + (k + i) step at (x_k, y_i).  The
+    module docstring derives the formulas.
     """
     q1, q2m1 = params.q + 1, params.q**2 - 1
     p, n = ctx.p, ctx.order - 1
-    step = n // q1
     exp, log = ctx._exp, ctx._log
-    yield 0, None, log[p - 1] // q1, None
-    for j in range(step):
-        u = exp[q1 * j]  # x^{q+1} for the q+1 values x = g^(j + k step)
+    yield None, log[p - 1] // q1, None
+    for j, u in enumerate(islice(exp, 0, n, q1)):  # u = x^{q+1} at x = g^(j + k step)
         if u == 1:
-            ly = lw = None
-        else:
-            ld = log[u - u % p + (u - 1) % p]  # subtracting 1 changes only digit 0
-            if ld % q1:
-                continue
-            ly = ld // q1
-            c = exp[q2m1 * j % n]  # x^{q^2-1}
-            lw = None if c == 1 else ly + j + log[c - c % p + (c - 1) % p] - ld
-        for k in range(q1):
-            lx = j + k * step
-            yield exp[lx], lx, ly, None if lw is None else (lw + k * step) % n
+            yield j, None, None
+            continue
+        ld = log[u - u % p + (u - 1) % p]  # subtracting 1 changes only digit 0
+        if ld % q1:
+            continue
+        ly = ld // q1
+        c = exp[q2m1 * j % n]  # x^{q^2-1}
+        yield j, ly, None if c == 1 else ly + j + log[c - c % p + (c - 1) % p] - ld
 
 
 def _affine_logs(params: CurveParams, ctx: GfContext):
@@ -131,9 +131,17 @@ def _affine_logs(params: CurveParams, ctx: GfContext):
     q1, m = params.q + 1, params.m
     n = ctx.order - 1
     ystep, zstep = n // q1, n // m
-    by_value = ctx._exp.__getitem__
+    exp = ctx._exp
+    by_value = exp.__getitem__
+    xs = []  # (x, lx, ly, lw) per x, lw the log of w at (x, g^ly)
+    for j, ly, lw in _fibers(params, ctx):
+        if j is None:
+            xs.append((0, None, ly, None))
+        else:
+            xs += [(exp[lx], lx, ly, None if lw is None else (lw + lx - j) % n)
+                   for lx in range(j, n, ystep)]
     o2 = generic = 0
-    for x, lx, ly, lw in sorted(_fibers(params, ctx)):
+    for x, lx, ly, lw in sorted(xs):
         if ly is None:
             o2 += 1
             yield x, lx, None, None
@@ -189,14 +197,18 @@ def census(params: CurveParams, ctx: GfContext) -> PointCensus:
     """Point and orbit counts without materializing the point list."""
     q1, m = params.q + 1, params.m
     step = (ctx.order - 1) // q1
-    # hits[r]: how many of r, r + step, ..., r + q step m divides (m | order - 1)
+    # hits[r]: how many of r, r + step, ..., r + q step m divides (m | order - 1);
+    # group[r]: hits summed over a group's q+1 x, whose log w are r + k step
     hits = [sum((r + k * step) % m == 0 for k in range(q1)) for r in range(m)]
+    group = [sum(hits[(r + k * step) % m] for k in range(q1)) for r in range(m)]
     o2 = generic = 0
-    for _, _, ly, lw in _fibers(params, ctx):
+    for j, ly, lw in _fibers(params, ctx):
         if lw is not None:
-            generic += hits[lw % m]
-        else:
-            o2 += 1 if ly is None else q1
+            generic += group[lw % m]
+        elif j is None or ly is None:  # x = 0, with q+1 points; q+1 ramified x
+            o2 += q1
+        else:  # q+1 x, each with q+1 points (x, y, 0)
+            o2 += q1 * q1
     o1 = len(ctx.nth_roots(ctx.one, q1))
     result = PointCensus(total=o1 + o2 + m * generic, o1=o1, o2=o2, generic=m * generic)
     _check_census(params, result)
@@ -384,13 +396,40 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     restricted to K columns is at most their full rank, which is at most i,
     so a prefix with profile 1..count proves the full profile, and a failing
     matrix fails at every K, including K >= N, the full-width check.
+    `_rank_certificate` reads the same profile off rows built only K columns
+    wide.
+    """
+    base = distinguished_point(params, ctx, orbit)
+    basis = build_basis(params, orbit, count)
+    matrix = _basis_rows(params, ctx, base, basis)
+    if basis[-1].pole_order < len(matrix[0]):
+        profile = _prefix_rank_profile(ctx, matrix)
+        if profile != list(range(1, count + 1)):
+            raise InternalConsistencyError(
+                f"evaluation matrix rank profile {profile} != 1..{count} for orbit "
+                f"{orbit}, q={params.q}, n={params.n}"
+            )
+    return matrix
+
+
+def _basis_rows(
+    params: CurveParams,
+    ctx: GfContext,
+    base: CurvePoint,
+    basis: list[PoleBasisFunction],
+    ncols: int | None = None,
+) -> list[list[int]]:
+    """The rows of code_matrix on its leading ncols columns, or on all of them.
+
+    The stream is read only as far as the ncols-th column, so the num/den
+    guard runs on those columns only, and the stream's point-count check only
+    when every column is built.
     """
     from array import array
     from sys import byteorder
 
-    base = distinguished_point(params, ctx, orbit)
+    orbit = base.orbit
     base_key = base.sort_key()
-    basis = build_basis(params, orbit, count)
     p, exp, log, add = ctx.p, ctx._exp, ctx._log, ctx.add
     n = ctx.order - 1
     is_o1 = orbit == ORBIT_INFINITE
@@ -410,21 +449,28 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
     for x, lx, ly, lzs in _affine_logs(params, ctx):
         if lzs is None:  # an O2 point (x, y, 0)
             hold(CurvePoint("affine", x, 0 if ly is None else exp[ly], 0, None, ORBIT_SMALL_AFFINE))
-            continue
-        lnum = log[x - x % p + (x - 1) % p] if is_o1 else lx  # x - 1: digit 0 only
-        lden = log[add(x if is_o1 else neg_a, exp[ly])]
-        if lnum < 0 or lden < 0:
-            raise InternalConsistencyError(f"num or den is 0 at the generic point ({x}, {exp[ly]}) "
-                                           f"for orbit {orbit}, q={params.q}, n={params.n}")
-        col_z.extend(lzs)
-        col_num.extend([lnum] * len(lzs))
-        col_den.extend([n - lden] * len(lzs))
-    for a in ctx.nth_roots(ctx.one, params.q + 1):
-        hold(CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE))
+        else:
+            lnum = log[x - x % p + (x - 1) % p] if is_o1 else lx  # x - 1: digit 0 only
+            lden = log[add(x if is_o1 else neg_a, exp[ly])]
+            if lnum < 0 or lden < 0:
+                raise InternalConsistencyError(f"num or den is 0 at the generic point ({x}, {exp[ly]}) "
+                                               f"for orbit {orbit}, q={params.q}, n={params.n}")
+            col_z.extend(lzs)
+            col_num.extend([lnum] * len(lzs))
+            col_den.extend([n - lden] * len(lzs))
+        if ncols is not None and len(col_z) >= ncols:
+            break
+    else:
+        for a in ctx.nth_roots(ctx.one, params.q + 1):
+            hold(CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE))
+    if ncols is not None:
+        for col in cols:
+            del col[ncols:]
+        special = [(j, pt) for j, pt in special if j < ncols]
 
     width = 8 * len(col_z)
     log_z, log_num, log_den_inv = (int.from_bytes(col, byteorder) for col in cols)
-    matrix = []
+    rows = []
     for fn in basis:
         main, e = fn.exponents[:-1], fn.exponents[-1]
         a, d = sum(i * ei for i, ei in enumerate(main)), sum(main) + e
@@ -435,28 +481,39 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
                 row[j] = eval_basis(params, ctx, fn, pt, base=base)
         except (PoleEvaluationError, NeedsLocalResolutionError) as exc:
             raise type(exc)(f"row for pole order {fn.pole_order}: {exc}") from exc
-        matrix.append(row)
-    if basis[-1].pole_order < len(col_z):
-        profile = _prefix_rank_profile(ctx, matrix)
-        if profile != list(range(1, count + 1)):
-            raise InternalConsistencyError(
-                f"evaluation matrix rank profile {profile} != 1..{count} for orbit "
-                f"{orbit}, q={params.q}, n={params.n}"
-            )
-    return matrix
+        rows.append(row)
+    return rows
+
+
+def _rank_certificate(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> list[int]:
+    """The rank profile of code_matrix(params, ctx, orbit, count), from rows only as wide as needed.
+
+    The rows are built on the same leading K columns that _prefix_rank_profile
+    tries, K = 2 count, 4 count, ... up to N, so a profile 1..count is read
+    off the first K that proves it, with no full-width row built.
+    """
+    base = distinguished_point(params, ctx, orbit)
+    basis = build_basis(params, orbit, count)
+    ncols = params.rational_point_count - 1
+    return _certified_profile(ctx, count, ncols, lambda k: _basis_rows(params, ctx, base, basis, k))
 
 
 def _prefix_rank_profile(ctx: GfContext, rows: list[list[int]]) -> list[int]:
-    """rank_profile(ctx, rows), read off the fewest leading columns that prove it.
-
-    Tries K = 2 len(rows), 4 len(rows), ... leading columns and returns the
-    first profile that is 1..len(rows); otherwise the full-width profile.
-    """
-    full = list(range(1, len(rows) + 1))
+    """rank_profile(ctx, rows), read off the fewest leading columns that prove it."""
     ncols = len(rows[0]) if rows else 0
-    k = 2 * len(rows)
+    return _certified_profile(ctx, len(rows), ncols, lambda k: [row[:k] for row in rows])
+
+
+def _certified_profile(ctx: GfContext, count: int, ncols: int, leading) -> list[int]:
+    """The rank profile of count rows of width ncols, from leading(K), the rows on K columns.
+
+    Tries K = 2 count, 4 count, ... and returns the first profile that is
+    1..count; otherwise the full-width profile (K = ncols).
+    """
+    full = list(range(1, count + 1))
+    k = 2 * count
     while True:
-        profile = rank_profile(ctx, [row[:k] for row in rows])
+        profile = rank_profile(ctx, leading(min(k, ncols)))
         if profile == full or k >= ncols:
             return profile
         k *= 2

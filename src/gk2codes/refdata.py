@@ -18,14 +18,17 @@ to match the reference.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .fengrao import table as fengrao_table
 from .gk2 import CurveParams
-from .quantum import QuantumRange, quantum_table
 from .semigroup import NumericalSemigroup
+
+if TYPE_CHECKING:
+    from .quantum import QuantumRange
+
+# csv, fengrao and quantum are imported by the functions that read or compare
+# published tables, so a (q, n) without them compiles none of the three.
 
 REFERENCE_QN = (2, 5)
 _CODE_FILES = {"O1": "code_table_o1_q2_n5.csv", "O2": "code_table_o2_q2_n5.csv"}
@@ -33,6 +36,8 @@ _QUANTUM_FILES = {"O1": "quantum_table_o1_q2_n5.csv", "O2": "quantum_table_o2_q2
 
 
 def _read_csv(name: str) -> list[dict[str, int]]:
+    import csv
+
     ref = resources.files("gk2codes.data").joinpath(name)
     with ref.open(newline="") as f:
         return [{k: int(v) for k, v in row.items()} for row in csv.DictReader(f)]
@@ -100,6 +105,8 @@ def compare_code_table(
     params: CurveParams, semigroup: NumericalSemigroup, orbit: str
 ) -> CodeTableComparison:
     """Check every printed cell of the classical reference table for one orbit."""
+    from .fengrao import table as fengrao_table
+
     if not has_reference(params):
         raise ValueError(f"no reference table for q={params.q}, n={params.n}")
     ref = load_code_reference(orbit)
@@ -171,6 +178,8 @@ def compare_quantum_table(
 
     One quantum_table over the printed l-window gives the computed ranges.
     """
+    from .quantum import quantum_table
+
     if not has_reference(params):
         raise ValueError(f"no reference table for q={params.q}, n={params.n}")
     printed = load_quantum_reference(orbit)

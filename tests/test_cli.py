@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from gk2codes import cli, fengrao, gk2, quantum, refdata, semigroup
+from gk2codes import cli, curve, fengrao, gk2, quantum, refdata, semigroup
 from gk2codes.cli import main
 from gk2codes.gk2 import curve_params, holomorphic_gap_set, orbit_semigroup, semigroup_o1
 from gk2codes.semigroup import NumericalSemigroup
@@ -261,6 +261,7 @@ _IMPORT_PROBE_JOBS = {
     "points": ("--q", "2", "--n", "3"),
     "code-matrix": ("--q", "2", "--n", "3", "--orbit", "O1", "--l", "4"),
     "verify": ("--q", "2", "--n", "5"),
+    "verify no-reference": ("--q", "3", "--n", "3"),
 }
 _NOT_LOADED_BY = {
     "points": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata"},
@@ -271,6 +272,8 @@ _NOT_LOADED_BY = {
     "quantum-table": {"gk2codes.gf", "gk2codes.curve"},
     # reference rows exist only for the order-bound regime
     "quantum-table high-degree": {"gk2codes.gf", "gk2codes.curve", "gk2codes.refdata", "csv"},
+    # no published tables at (3, 3): the reference machinery is not loaded
+    "verify no-reference": {"gk2codes.fengrao", "gk2codes.quantum", "csv"},
 }
 
 
@@ -520,6 +523,30 @@ def test_verify_closes_the_telescopic_sequence_once(capsys, monkeypatch):
     monkeypatch.setattr(gk2, "closure_table", counted, raising=False)
     assert run_cli(capsys, "verify", "--q", "2", "--n", "5")[0] == 0
     assert closed.count(seq) == 1
+
+
+# stdout of verify --q 2 --n 3 when the basis repeats its last function, so
+# that neither orbit's first 10 rows have rank profile 1..10
+DEPENDENT_ROW_SHA256 = {
+    "json": "ac64970b71b427963aede9e19a5e984644e48859b431038cdd1df7d1396de657",
+    "csv": "dab653a7ff56334cbcfbf1763914c552d44cc08b0a5314f0d9104b920ca4f54b",
+    "md": "0ac8cc5a833e8e64b9b8c7b8e22f45c3f6866474714ea4316c05780b139967cc",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DEPENDENT_ROW_SHA256))
+def test_verify_staircase_fails_on_a_dependent_row(capsys, monkeypatch, fmt):
+    real = curve.build_basis
+
+    def repeat_last(params, orbit, count):
+        basis = real(params, orbit, count - 1)
+        return basis + basis[-1:]
+
+    monkeypatch.setattr(curve, "build_basis", repeat_last)
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "3", "--format", fmt)
+    assert code == 2
+    assert "rank_staircase_l_le_10" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEPENDENT_ROW_SHA256[fmt]
 
 
 CELLS = {

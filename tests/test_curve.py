@@ -8,7 +8,8 @@ yielded one record per y.  Basis evaluation is checked the same way against
 its former form, one branch per orbit.  The code matrix, whose columns are
 read off the ordered log stream, is checked against its two former forms, one
 eval_basis call per entry and one point record per column, and its
-column-prefix rank certificate against the full-width rank profile.
+column-prefix rank certificate against the full-width rank profile, also
+when the certificate's rows are built only on the leading columns.
 """
 
 import io
@@ -35,7 +36,7 @@ from gk2codes.curve import (
     small_field_elements,
     write_matrix,
 )
-from gk2codes.curve import _num_den, _prefix_rank_profile
+from gk2codes.curve import _basis_rows, _num_den, _prefix_rank_profile, _rank_certificate
 from gk2codes.errors import (
     InternalConsistencyError,
     NeedsLocalResolutionError,
@@ -573,7 +574,38 @@ def test_prefix_certificate_widens_past_zero_leading_columns():
     assert _prefix_rank_profile(ctx, rows) == [1, 2, 3, 4]
 
 
-def test_code_matrix_dependent_row_raises(monkeypatch, p23, ctx23):
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+def test_rank_certificate_matches_full_rows(q, n, orbit):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    for count in (1, 2, 5, 10):
+        full = rank_profile(ctx, code_matrix(params, ctx, orbit, count))
+        assert _rank_certificate(params, ctx, orbit, count) == full == list(range(1, count + 1))
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+def test_prefix_rows_are_the_leading_columns_of_code_matrix(p23, ctx23, orbit):
+    # widths that end among the z = 0 points, at and inside z-blocks, among the
+    # infinite points, and at N
+    full = code_matrix(p23, ctx23, orbit, 10)
+    base = distinguished_point(p23, ctx23, orbit)
+    basis = build_basis(p23, orbit, 10)
+    for k in (1, 7, 20, 101, 223, 224):
+        assert _basis_rows(p23, ctx23, base, basis, k) == [row[:k] for row in full]
+    assert _basis_rows(p23, ctx23, base, basis) == full
+
+
+def test_rank_certificate_stops_reading_at_its_prefix(p23, ctx23):
+    # with a wrong point count the stream's check fails once exhausted; the
+    # certificate's first prefix, 2 count columns, proves 1..count before that
+    wrong = p23._replace(rational_point_count=p23.rational_point_count + 1)
+    assert _rank_certificate(wrong, ctx23, "O1", 10) == list(range(1, 11))
+    with pytest.raises(InternalConsistencyError, match=r"^point count 225 != maximality count 226"):
+        code_matrix(wrong, ctx23, "O1", 10)
+
+
+def _repeat_last_basis_function(monkeypatch):
     real = curve_mod.build_basis
 
     def repeat_last(params, orbit, count):
@@ -581,6 +613,25 @@ def test_code_matrix_dependent_row_raises(monkeypatch, p23, ctx23):
         return basis + basis[-1:]
 
     monkeypatch.setattr(curve_mod, "build_basis", repeat_last)
+
+
+def test_rank_certificate_of_a_dependent_row_is_the_full_width_profile(monkeypatch, p23, ctx23):
+    # no prefix proves 1..count, so the certificate widens to all N columns
+    _repeat_last_basis_function(monkeypatch)
+    widths = []
+    real_rank_profile = curve_mod.rank_profile
+
+    def counted(ctx, rows):
+        widths.append(len(rows[0]))
+        return real_rank_profile(ctx, rows)
+
+    monkeypatch.setattr(curve_mod, "rank_profile", counted)
+    assert _rank_certificate(p23, ctx23, "O2", 10) == list(range(1, 10)) + [9]
+    assert widths == [20, 40, 80, 160, 224]
+
+
+def test_code_matrix_dependent_row_raises(monkeypatch, p23, ctx23):
+    _repeat_last_basis_function(monkeypatch)
     with pytest.raises(
         InternalConsistencyError,
         match=r"^evaluation matrix rank profile \[1, 2, 3, 3\] != 1\.\.4 for orbit O1, q=2, n=3$",

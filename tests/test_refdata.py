@@ -8,7 +8,7 @@ in the engines or an edit to the fixtures.
 
 import pytest
 
-from gk2codes import refdata
+from gk2codes import quantum
 from gk2codes.gk2 import curve_params, semigroup_o1, semigroup_o2
 from gk2codes.quantum import quantum_table
 from gk2codes.refdata import (
@@ -97,7 +97,7 @@ def test_quantum_comparison_reads_one_table(monkeypatch, p25, semigroups, orbit)
         calls.append(args[2:])
         return quantum_table(*args, **kwargs)
 
-    monkeypatch.setattr(refdata, "quantum_table", counted)
+    monkeypatch.setattr(quantum, "quantum_table", counted)
     assert compare_quantum_table(p25, semigroups[orbit], orbit).rows_checked
     assert calls == [(46, 105 if orbit == "O1" else 104)]  # the printed l-window
 
