@@ -516,5 +516,23 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def _run() -> int:
+    """Process entry of the ``gk2codes`` script and ``python -m``: returns ``main()``.
+
+    On every way out, ``--help``'s ``SystemExit`` too, the heap is frozen
+    into the collector's permanent generation, so interpreter shutdown runs
+    no collection over the imported modules and the field tables.  Atexit
+    handlers, stream flushes and reference-count frees still run; cycles
+    alive at exit go with the process.  ``main()`` itself leaves the
+    collector alone, for callers that keep running.
+    """
+    try:
+        return main()
+    finally:
+        import gc  # here, so that importing this module loads nothing more
+
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_run())

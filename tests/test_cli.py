@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -373,14 +375,60 @@ def test_unwritable_output_is_a_one_line_error(tmp_path):
         assert not out.stdout
 
 
-def test_console_entry_point_subprocess():
-    out = subprocess.run(
-        [sys.executable, "-m", "gk2codes.cli", "points", "--q", "2", "--n", "3"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["count"] == 225
+def test_console_entry_point_subprocess(capsys):
+    # both `python -m` launchers against in-process main, on exit 0 and exit 1
+    for argv, want_code in ((["points", "--q", "2", "--n", "3"], 0),
+                            (["points", "--q", "2", "--n", "4"], 1)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == want_code
+        assert code or json.loads(out)["count"] == 225
+        for module in ("gk2codes", "gk2codes.cli"):
+            proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True)
+            assert (proc.returncode, proc.stdout) == (code, out.encode()), (module, argv)
+            assert b"Traceback" not in proc.stderr
+
+
+def test_script_entry_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"gk2codes": "gk2codes.cli:_run"}
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # tests, the benchmark tracer and library callers run main() in a
+    # process that goes on, so its heap must stay collectable
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "points", "--q", "2", "--n", "3")[0] == 0
+    assert run_cli(capsys, "points", "--q", "2", "--n", "4")[0] == 1
+    assert gc.get_freeze_count() == before
+
+
+# Runs the module as `python -m gk2codes.cli` does, after registering an
+# atexit handler: the handler must still run (no os._exit), after the stdout
+# bytes, and find the heap frozen.
+_EXIT_PROBE = (
+    "import atexit, gc, runpy\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+    "runpy.run_module('gk2codes.cli', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "--q", "2", "--n", "3", "--orbit", "O1"],
+    ["semigroup", "--q", "2", "--n", "4", "--orbit", "O1"],  # usage error
+    ["--help"],  # argparse leaves main() by SystemExit
+], ids=["ok", "usage-error", "help"])
+def test_process_entry_freezes_the_heap_before_atexit(capsys, argv):
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.endswith("frozen True\n"), proc.stdout[-200:]
+    if argv == ["--help"]:
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: gk2codes")
+        return
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out + "frozen True\n")
 
 
 # -- streamed tables against the former whole-string renderer -----------------
