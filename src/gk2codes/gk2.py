@@ -263,12 +263,14 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     No set is built.  Set t (S_i for t = i < q^2 - q, else S_j for t = j) is
     the q runs t*mq + (t + k)(q^2 - q) + c(q^n + 1), k = 1..length, one per
     c < q, with length ts - t for S_i and (q^2 - q)s - t for S_j.  Each run
-    is one strided slice of the member tables of H1 and S and of one byte
-    table of marks, whose 2s count the values an earlier run of the same set
-    holds.  S and H1 are sieves that prove their conductors: S, symmetric
-    as telescopic, closes once from twice its closed-form genus.  H1 is built
-    only if some set is nonempty, which needs s >= 2, so that mq, mq + q^2 - q
-    and q^n + 1 are O1 generators and gcd(H1) = 1.
+    is one strided slice of the sieves of H1 and S, past whose ends all
+    values are members (so S's is read only if the largest run value is
+    below its conductor), and of one byte table of marks, whose 2s count the
+    values an earlier run of the same set holds.  The sieves prove their
+    conductors: S, symmetric as telescopic, closes once from twice its
+    closed-form genus.  H1 is built only if some set is nonempty, which
+    needs s >= 2, so that mq, mq + q^2 - q and q^n + 1 are O1 generators
+    and gcd(H1) = 1.
     """
     q, m, s = params.q, params.m, params.s
     step = q * q - q
@@ -280,14 +282,14 @@ def verify_partition(params: CurveParams) -> PartitionReport:
             for t in chain(range(1, step), range(step, step * s))]
     top = max((t * m * q + (t + length) * step + (q - 1) * qq1
                for t, length in sets if length > 0), default=0)
-    s_reach = sg_s._member_table(top)
     h1 = b""  # read by nonempty runs only
     if top:
         h1 = NumericalSemigroup.from_generators(
-            o1_generators(params), conductor_hint=2 * params.genus)._member_table(top)
+            o1_generators(params), conductor_hint=2 * params.genus)._sieve
     marks = bytearray(top + 1)  # 1 on the earlier sets, 2 on the current one
     ones, twos = b"\x01" * (step * s), b"\x02" * (step * s)  # longer than any run
-    inside_ok = disjoint_ok = sizes_ok = True
+    inside_ok = top < sg_s.conductor
+    disjoint_ok = sizes_ok = True
     total = 0
     for t, length in sets:
         count = max(length, 0)
@@ -296,7 +298,7 @@ def verify_partition(params: CurveParams) -> PartitionReport:
         size = q * count
         for run in runs:
             seen = marks[run]
-            inside_ok = inside_ok and 0 not in h1[run] and 1 not in s_reach[run]
+            inside_ok = inside_ok and 0 not in h1[run] and 1 not in sg_s._sieve[run]
             disjoint_ok = disjoint_ok and 1 not in seen
             size -= seen.count(2)
             marks[run] = twos[:count]

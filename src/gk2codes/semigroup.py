@@ -2,9 +2,9 @@
 
 A numerical semigroup here is the set of all non-negative integer
 combinations of a finite generating set with gcd 1.  Construction closes the
-generators on a byte table up to a bound (strided slices for the longest
-equally spaced run of generators, shift-or for the rest), doubling the bound
-until min(generators) consecutive members below it prove the conductor.  That
+generators on a byte table up to a bound, as a union of shifted arithmetic
+progressions each written by one strided slice, doubling the bound until
+min(generators) consecutive members below it prove the conductor.  That
 table is the semigroup's one stored form: point queries read its bytes, and
 the sorted gap and nongap tuples are built only when a caller reads them.
 
@@ -32,58 +32,46 @@ def _longest_run(gens: list[int]) -> tuple[int, int]:
     return best
 
 
-def _run_sums(run: list[int], bound: int) -> bytearray:
-    """Reachability table on [0, bound] for sums of the run a, a + d, ..., a + sd.
-
-    Its k-fold sums are exactly ka + jd for 0 <= j <= ks: one strided slice
-    per k.
-    """
-    a = run[0]
-    table = bytearray(bound + 1)
-    if len(run) == 1:  # the multiples of a
-        table[::a] = b"\x01" * (bound // a + 1)
-        return table
-    d, s = run[1] - a, len(run) - 1
-    ones = memoryview(b"\x01" * (bound // d + 1))
-    for k in range(bound // a + 1):
-        last = min(k * (a + s * d), bound)
-        table[k * a:last + 1:d] = ones[:(last - k * a) // d + 1]
-    return table
-
-
 def closure_table(generators, bound: int) -> bytearray:
     """Reachability table for sums of generators on [0, bound].
 
-    The longest equally spaced run of the sorted generators is summed by
-    strided slices; the paper's orbit generators are such a run but for one
-    element.  The other generators are added by shift-or on the table read as
-    an int, one byte per value, so no shift carries from one value into the
-    next.
+    mark(o) writes o plus every sum of the longest equally spaced run a,
+    a + d, ..., b of the generators: one strided slice per k for the k-fold
+    sums k*a, k*a + d, ..., k*b, or one of the multiples of a if a = b.
+    Each generator g off the run walks the offsets marked so far, 0 first:
+    o + g, o + 2g, ... are marked and become offsets until one is past the
+    bound or already 1.
 
-    A generator g only needs its multiples c*g with c < k, k the least k >= 1
-    with k*g already in the run's table: a closed table T has T + k*g in T.
-    The shifts by g, 2g, 4g, ... stop once they cover c < k, or at the bound
-    when no multiple of g within it is in the table.  For the orbit and
-    telescopic sets q*(q^n + 1) = (q + 1)*mq, where the generator outside the
-    run is one factor and a run element the other, so k <= q + 1.
+    The table is the closure: it holds sums of generators only, and as the
+    offsets plus the run's sums it is closed under the run.  After g's walk,
+    o + g is marked, 1 already or past the bound for every offset o, so it is
+    closed under g; its values are y + c*g with y in the table before, and
+    y + h is there for each earlier generator h.
     """
     gens = sorted(set(generators))
     start, stop = _longest_run(gens)
-    table = _run_sums(gens[start:stop], bound)
-    rest = gens[:start] + gens[stop:]
-    if not rest:
-        return table
-    reach = int.from_bytes(table, "little")
-    for g in rest:
-        # k*g read off the run's table: k is at least the least k with k*g
-        # in the growing table, which costs doublings, never correctness
-        limit = (table[g::g].find(1) + 1) * g or bound + 1
-        stride = g  # shifts by g, 2g, 4g, ... add every multiple of g below limit
-        while stride < limit:
-            # only the values that stay within the bound are shifted
-            reach |= (reach & ((1 << 8 * (bound + 1 - stride)) - 1)) << 8 * stride
-            stride <<= 1
-    table[:] = reach.to_bytes(bound + 1, "little")
+    a, b = gens[start], gens[stop - 1]
+    d = gens[start + 1] - a if b > a else a
+    table = bytearray(bound + 1)
+    ones = memoryview(b"\x01" * (bound // d + 1))
+
+    def mark(o):
+        if b == a:  # the multiples of a
+            table[o::a] = ones[:(bound - o) // a + 1]
+            return
+        for k, lo in enumerate(range(o, bound + 1, a)):
+            hi = min(lo + k * (b - a), bound)
+            table[lo:hi + 1:d] = ones[:(hi - lo) // d + 1]
+
+    offsets = [0]
+    mark(0)
+    for g in gens[:start] + gens[stop:]:
+        for o in offsets:  # the list grows as g walks it
+            v = o + g
+            while v <= bound and not table[v]:
+                mark(v)
+                offsets.append(v)
+                v += g
     return table
 
 
@@ -137,10 +125,6 @@ class NumericalSemigroup:
     def _gap_indicator(self) -> bytes:
         """1 for a gap, 0 for a nongap, on [0, conductor)."""
         return self._sieve[:self.conductor].translate(_FLIP_BITS)
-
-    def _member_table(self, top: int) -> bytes:
-        """1 for a nongap, 0 for a gap, on [0, top]: the sieve, then members."""
-        return self._sieve[:top + 1] + b"\x01" * (top + 1 - len(self._sieve))
 
     def _key(self):
         return self.generators, self.conductor, self._sieve

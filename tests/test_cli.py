@@ -216,6 +216,13 @@ TABLE_SHA256 = {
         "fd3921ee2660d1ef8cd6ed4c32d1b042a438246e3b04df5fa9d7c5e55f6d088f",
     "verify --q 3 --n 7 --format md":
         "0725b5d6485d01443e0aa1f2d3489a9604ffb98b84ea6f6d5b38e0fa248e5e38",
+    # S = <13108, 13120, 16385> has genus 21 508 584: its sieve is read in place
+    "verify --q 4 --n 7":
+        "2a9d1b30904e5a9d16ec58866aad18ec82ad86e30ec92cfbb9248bb97e3c0f8b",
+    "verify --q 4 --n 7 --format csv":
+        "43959d8d8a73889046ebf5d1bcaaeb78bdf24f09afc58ce7e97529010270137a",
+    "verify --q 4 --n 7 --format md":
+        "4c1cc0d288df085fbd5a7c4be1342a822a8d9791445656811719cda30ef69b16",
     "verify --q 5 --n 5":
         "9f3a7c5162d539e6e15b1ffc941057145d893f8995ea13bd2bc608da73f25964",
     "verify --q 5 --n 5 --format csv":

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from math import gcd
 
@@ -12,7 +13,6 @@ from gk2codes.gk2 import curve_params, o1_generators, o2_generators, semigroup_o
 from gk2codes.semigroup import (
     NumericalSemigroup,
     _longest_run,
-    _run_sums,
     closure_table,
     is_telescopic,
     telescopic_genus,
@@ -35,11 +35,30 @@ def closure_upto(gens, bound):
     return members
 
 
+def run_sums(run, bound):
+    """Reachability table on [0, bound] for sums of the run a, a + d, ..., a + sd.
+
+    Its k-fold sums are exactly ka + jd for 0 <= j <= ks: one strided slice
+    per k.
+    """
+    a = run[0]
+    table = bytearray(bound + 1)
+    if len(run) == 1:  # the multiples of a
+        table[::a] = b"\x01" * (bound // a + 1)
+        return table
+    d, s = run[1] - a, len(run) - 1
+    ones = memoryview(b"\x01" * (bound // d + 1))
+    for k in range(bound // a + 1):
+        last = min(k * (a + s * d), bound)
+        table[k * a:last + 1:d] = ones[:(last - k * a) // d + 1]
+    return table
+
+
 def closure_table_doubling(generators, bound):
     """Oracle: the former closure_table, each generator off the run doubled up to the bound."""
     gens = sorted(set(generators))
     start, stop = _longest_run(gens)
-    table = _run_sums(gens[start:stop], bound)
+    table = run_sums(gens[start:stop], bound)
     rest = gens[:start] + gens[stop:]
     if not rest:
         return table
@@ -259,6 +278,7 @@ def test_telescopic_genus_cross_check_random():
 @example([10, 12, 31], 400)  # 2 * 31 is: one shift, by 31
 @example([6, 9, 12, 7, 11], 200)  # two generators off the run
 @example([5, 25, 9], 60)  # 25 is a run sum itself: no shift at all
+@example([4, 8, 9, 14], 56)  # 23 = 9 + 14: the walk of 14 starts from the offsets of 9
 def test_closure_stops_at_the_first_multiple_in_the_run_table(gens, bound):
     assert closure_table(gens, bound) == closure_table_doubling(gens, bound)
 
@@ -271,6 +291,22 @@ def test_closure_stops_at_the_first_multiple_on_the_paper_sets(qn):
     bound = 2 * telescopic_genus(telescopic) + m * q + 1  # the sieve bound of S
     for gens in (o1_generators(params), o2_generators(params), telescopic):
         assert closure_table(gens, bound) == closure_table_doubling(gens, bound), gens
+
+
+@pytest.mark.parametrize("generators", [o1_generators, o2_generators])
+def test_closure_peak_memory_stays_near_the_table(generators):
+    # the table, and for O2's step-1 run the ones it is sliced from; the
+    # table read as one int and shifted took 4.2 times the table
+    params = curve_params(4, 7)
+    gens = generators(params)
+    bound = 2 * params.genus + gens[0] + 1  # the sieve bound of from_generators
+    tracemalloc.start()
+    try:
+        closure_table(gens, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (bound + 1)
 
 
 generator_sets = st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
