@@ -8,11 +8,11 @@ failed at runtime), 3 an evaluation needed local resolution.
 
 from __future__ import annotations
 
-import argparse
 import io
 import sys
 from itertools import chain, compress, islice, tee
 from operator import attrgetter
+from types import SimpleNamespace
 
 # curve, gf, fengrao, quantum, refdata, csv and json are imported by the
 # commands and renderers that use them, so each process compiles only what
@@ -48,47 +48,89 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); route to exit code 1
-        raise UsageError(message)
+# Every subcommand's help line and options, in --help order.  An option is
+# (flags, dest, type, choices, required, default, help); build_parser() and
+# _parse() both read it.
+_Q = (("--q",), "q", int, None, True, None, "prime power")
+_N = (("--n",), "n", int, None, True, None, "odd integer >= 3")
+_ORBIT = (("--orbit",), "orbit", str, ("O1", "O2"), True, None, None)
+_LMIN = (("--lmin",), "lmin", int, None, False, None, None)
+_LMAX = (("--lmax",), "lmax", int, None, False, None, None)
+_FORMAT = (("--format",), "format", str, ("csv", "json", "md"), False, "json", None)
+_OUTPUT = (("-o", "--output"), "output", str, None, False, None, "output path (default stdout)")
+_OPTIONS = {
+    "semigroup": ("orbit semigroup summary", (_Q, _N, _ORBIT, _FORMAT, _OUTPUT)),
+    "gaps": ("gap sequence of an orbit semigroup", (_Q, _N, _ORBIT, _FORMAT, _OUTPUT)),
+    "fengrao-table": ("dual code parameter rows",
+                      (_Q, _N, _ORBIT, _LMIN, _LMAX, _FORMAT, _OUTPUT)),
+    "quantum-table": ("CSS parameter ranges", (
+        _Q, _N, _ORBIT, _LMIN, _LMAX, _FORMAT, _OUTPUT,
+        (("--regime",), "regime", str, _REGIMES, False, _REGIMES[0], None))),
+    "frobenius": ("Frobenius dimensions of both families", (_Q, _N, _FORMAT, _OUTPUT)),
+    "points": ("rational point census", (_Q, _N, _FORMAT, _OUTPUT)),
+    "code-matrix": ("evaluation code generator matrix", (
+        (("--q",), "q", int, None, True, None, None),
+        (("--n",), "n", int, None, True, None, None),
+        _ORBIT,
+        (("--l",), "l", int, None, True, None, "number of basis rows"),
+        (("-o", "--output"), "output", str, None, False, None, None))),
+    "verify": ("full invariant suite for one (q, n)", (_Q, _N, _FORMAT, _OUTPUT)),
+}
 
 
-def _add_common(sub, orbit=False, l_range=False):
-    sub.add_argument("--q", type=int, required=True, help="prime power")
-    sub.add_argument("--n", type=int, required=True, help="odd integer >= 3")
-    if orbit:
-        sub.add_argument("--orbit", choices=("O1", "O2"), required=True)
-    if l_range:
-        sub.add_argument("--lmin", type=int, default=None)
-        sub.add_argument("--lmax", type=int, default=None)
-    sub.add_argument("--format", choices=("csv", "json", "md"), default="json")
-    sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+def build_parser():
+    """The argparse parser of the option table; a usage error raises UsageError."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); route to exit code 1
+            raise UsageError(message)
 
-def build_parser() -> _Parser:
     p = _Parser(prog="gk2codes", description=__doc__)
     subs = p.add_subparsers(dest="command", required=True)
-
-    _add_common(subs.add_parser("semigroup", help="orbit semigroup summary"), orbit=True)
-    _add_common(subs.add_parser("gaps", help="gap sequence of an orbit semigroup"), orbit=True)
-    _add_common(
-        subs.add_parser("fengrao-table", help="dual code parameter rows"),
-        orbit=True,
-        l_range=True,
-    )
-    qt = subs.add_parser("quantum-table", help="CSS parameter ranges")
-    _add_common(qt, orbit=True, l_range=True)
-    qt.add_argument("--regime", choices=_REGIMES, default=_REGIMES[0])
-    _add_common(subs.add_parser("frobenius", help="Frobenius dimensions of both families"))
-    _add_common(subs.add_parser("points", help="rational point census"))
-    cm = subs.add_parser("code-matrix", help="evaluation code generator matrix")
-    cm.add_argument("--q", type=int, required=True)
-    cm.add_argument("--n", type=int, required=True)
-    cm.add_argument("--orbit", choices=("O1", "O2"), required=True)
-    cm.add_argument("--l", type=int, required=True, help="number of basis rows")
-    cm.add_argument("-o", "--output", default=None)
-    _add_common(subs.add_parser("verify", help="full invariant suite for one (q, n)"))
+    for command, (summary, options) in _OPTIONS.items():
+        sub = subs.add_parser(command, help=summary)
+        for flags, dest, kind, choices, required, default, text in options:
+            sub.add_argument(*flags, dest=dest, type=kind, choices=choices,
+                             required=required, default=default, help=text)
     return p
+
+
+def _parse(argv):
+    """The namespace build_parser() gives a plain command line, else None.
+
+    Plain is ``<command> (<flag> <value>)*`` with every flag spelled as in
+    the option table and given at most once, no value starting with "-",
+    every int value decimal digits, every choice among its choices and every
+    required option present.  Any other line (--help, a usage error, an
+    abbreviation, ``--flag=value``, a repeat) is argparse's to answer.
+    """
+    if len(argv) % 2 != 1 or argv[0] not in _OPTIONS:
+        return None
+    options = _OPTIONS[argv[0]][1]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        option = by_flag.get(flag)
+        if option is None or option[1] in given or value.startswith("-"):
+            return None
+        _, dest, kind, choices, *_ = option
+        if kind is int:
+            if not value.isdecimal():
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's limit on int digits
+                return None
+        elif choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    for _, dest, _, _, required, default, _ in options:
+        if dest not in given:
+            if required:
+                return None
+            given[dest] = default
+    return SimpleNamespace(command=argv[0], **given)
 
 
 def _require_curve_scale(q: int):
@@ -496,9 +538,10 @@ def _emit(write, path, code):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv) or build_parser().parse_args(argv)
         result = _COMMANDS[args.command](args)
         write, code = result if isinstance(result, tuple) else (result, EXIT_OK)
         return _emit(write, args.output, code)

@@ -53,7 +53,9 @@ def closure_table(generators, bound: int) -> bytearray:
     a, b = gens[start], gens[stop - 1]
     d = gens[start + 1] - a if b > a else a
     table = bytearray(bound + 1)
-    ones = memoryview(b"\x01" * (bound // d + 1))
+    # the k-fold slice spans k*(b - a) past its start, and k <= bound // a
+    span = bound if b == a else min(bound, bound // a * (b - a))
+    ones = memoryview(b"\x01" * (span // d + 1))
 
     def mark(o):
         if b == a:  # the multiples of a
@@ -87,8 +89,9 @@ class NumericalSemigroup:
 
     The sieve (1 for a nongap, 0 for a gap, on [0, conductor + max(generators)])
     answers the point queries; gaps, nongaps_cached and the Feng-Rao profile
-    (fengrao.py) are built on first read.  Equality and hash go by
-    (generators, conductor, sieve), which fixes the five fields repr names.
+    (fengrao.py) are built on first read.  Equality goes by (generators,
+    conductor, sieve), which fixes the five fields repr names; the hash by
+    (generators, conductor), as the sieve is the bytearray the closure built.
     """
 
     _FIELDS = ("generators", "conductor", "genus", "gaps", "nongaps_cached")
@@ -135,7 +138,7 @@ class NumericalSemigroup:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.generators, self.conductor))
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return self.__class__, self._key()
@@ -175,7 +178,7 @@ class NumericalSemigroup:
         top = conductor + gens[-1]
         del reach[top + 1:]
         reach += b"\x01" * (top - bound)  # past the sieve bound every value is a member
-        return cls(gens, conductor, bytes(reach))
+        return cls(gens, conductor, reach)
 
     def contains(self, x: int) -> bool:
         """True iff x is a nongap."""

@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gk2codes import cli, curve, fengrao, gk2, quantum, refdata, semigroup
 from gk2codes.cli import main
@@ -286,6 +288,10 @@ _NOT_LOADED_BY = {
 }
 
 
+# what argparse loads: a well-formed command line parses without it
+_PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_cli_imports_only_the_standard_library():
     # site hooks may preload third-party modules, so only new imports count
     probe = (
@@ -305,7 +311,17 @@ def test_cli_imports_only_the_standard_library():
         assert third_party <= {"gk2codes"}, (job, third_party)
         assert "dataclasses" not in new, job
         assert not _NOT_LOADED_BY.get(job, set()) & set(new), (job, new)
+        assert not _PARSER_MODULES & set(new), (job, new)
         assert "gk2codes.cli" in new, job
+    # nor does importing the module; --help still reaches argparse
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\nbefore = set(sys.modules)\nimport gk2codes.cli\n"
+         "print(' '.join(set(sys.modules) - before))"], capture_output=True, text=True)
+    assert out.returncode == 0 and "gk2codes.cli" in out.stdout.split(), out.stderr
+    assert not _PARSER_MODULES & set(out.stdout.split()), out.stdout
+    out = subprocess.run([sys.executable, "-m", "gk2codes.cli", "--help"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.startswith("usage: gk2codes"), out.stderr
 
 
 def test_regime_choices_are_the_quantum_regimes():
@@ -327,6 +343,153 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "frobenius", "--q", "6", "--n", "3")[0] == 1
     assert run_cli(capsys, "fengrao-table", "--q", "2", "--n", "5", "--orbit", "O3")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
+
+
+# -- the option table against the former parser ------------------------------
+
+
+def _former_parser():
+    """The parser build_parser() made before the option table, kept as the oracle."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise cli.UsageError(message)
+
+    def _add_common(sub, orbit=False, l_range=False):
+        sub.add_argument("--q", type=int, required=True, help="prime power")
+        sub.add_argument("--n", type=int, required=True, help="odd integer >= 3")
+        if orbit:
+            sub.add_argument("--orbit", choices=("O1", "O2"), required=True)
+        if l_range:
+            sub.add_argument("--lmin", type=int, default=None)
+            sub.add_argument("--lmax", type=int, default=None)
+        sub.add_argument("--format", choices=("csv", "json", "md"), default="json")
+        sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+
+    p = _Parser(prog="gk2codes", description=cli.__doc__)
+    subs = p.add_subparsers(dest="command", required=True)
+
+    _add_common(subs.add_parser("semigroup", help="orbit semigroup summary"), orbit=True)
+    _add_common(subs.add_parser("gaps", help="gap sequence of an orbit semigroup"), orbit=True)
+    _add_common(
+        subs.add_parser("fengrao-table", help="dual code parameter rows"),
+        orbit=True,
+        l_range=True,
+    )
+    qt = subs.add_parser("quantum-table", help="CSS parameter ranges")
+    _add_common(qt, orbit=True, l_range=True)
+    qt.add_argument("--regime", choices=("order-bound", "high-degree"), default="order-bound")
+    _add_common(subs.add_parser("frobenius", help="Frobenius dimensions of both families"))
+    _add_common(subs.add_parser("points", help="rational point census"))
+    cm = subs.add_parser("code-matrix", help="evaluation code generator matrix")
+    cm.add_argument("--q", type=int, required=True)
+    cm.add_argument("--n", type=int, required=True)
+    cm.add_argument("--orbit", choices=("O1", "O2"), required=True)
+    cm.add_argument("--l", type=int, required=True, help="number of basis rows")
+    cm.add_argument("-o", "--output", default=None)
+    _add_common(subs.add_parser("verify", help="full invariant suite for one (q, n)"))
+    return p
+
+
+_SUBCOMMANDS = ("semigroup", "gaps", "fengrao-table", "quantum-table", "frobenius", "points",
+                "code-matrix", "verify")
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in _SUBCOMMANDS],
+                         ids=["top", *_SUBCOMMANDS])
+def test_help_is_the_former_parsers(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as former:
+        _former_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as now:
+        main(argv)
+    got = capsys.readouterr()
+    assert want.out.startswith("usage: gk2codes")
+    assert (now.value.code, got.out, got.err) == (former.value.code, want.out, want.err)
+
+
+@pytest.mark.parametrize("argv", [
+    "points --n 3",
+    "fengrao-table --q 2 --n 5 --orbit O3",
+    "points --q x --n 3",
+    "nonsense --q 2",
+    "fengrao-table --q 2 --n 5 --orbit O1 --lmin=-1",
+    "code-matrix --q 2 --n 3 --orbit O1 --l 2 --format md",
+])
+def test_usage_errors_are_the_former_parsers(capsys, monkeypatch, argv):
+    got = run_cli(capsys, *argv.split())
+    monkeypatch.setattr(cli, "_parse", lambda argv: None)
+    monkeypatch.setattr(cli, "build_parser", _former_parser)
+    want = run_cli(capsys, *argv.split())
+    assert want[0] == 1 and want[2].startswith("usage error: ") and want[2].count("\n") == 1
+    assert got == want
+
+
+_ODD_VALUES = ("-1", "+5", "5_0", "٣", "²", "-", " 7", "1" * 5000)
+
+
+def _draw_argv(data):
+    """A command line drawn from the option table, and whether it was left well formed."""
+    command = data.draw(st.sampled_from([*cli._OPTIONS, "nonsense"]))
+    pairs = []
+    for flags, _, kind, choices, required, _, _ in cli._OPTIONS.get(command, ("", ()))[1]:
+        if required or data.draw(st.booleans()):
+            if choices:
+                value = data.draw(st.sampled_from(choices))
+            elif kind is int:
+                value = str(data.draw(st.integers(0, 10**6)))
+            else:
+                value = data.draw(st.sampled_from(["out.txt", os.devnull, "a b", ""]))
+            pairs.append([data.draw(st.sampled_from(flags)), value])
+    pairs = data.draw(st.permutations(pairs))
+    changes = data.draw(st.lists(st.sampled_from(
+        ["drop", "bad-choice", "duplicate", "equals", "abbreviate", "odd-value"]), max_size=3))
+    for change in changes:
+        if not pairs:
+            break
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        if len(pairs[i]) == 1:  # already joined by "equals"
+            continue
+        flag, value = pairs[i]
+        if change == "drop":
+            del pairs[i]
+        elif change == "bad-choice":
+            pairs[i] = [flag, data.draw(st.sampled_from(["O3", "xml", "low-degree", "o1"]))]
+        elif change == "duplicate":
+            pairs.insert(data.draw(st.integers(0, len(pairs))), list(pairs[i]))
+        elif change == "equals":
+            pairs[i] = [f"{flag}={value}"]
+        elif change == "abbreviate" and len(flag) > 3:
+            pairs[i] = [flag[:data.draw(st.integers(3, len(flag) - 1))], value]
+        elif change == "odd-value":
+            pairs[i] = [flag, data.draw(st.sampled_from(_ODD_VALUES))]
+    return [command, *chain.from_iterable(pairs)], command != "nonsense" and not changes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fast_parse_is_argparse_or_none(data):
+    argv, well_formed = _draw_argv(data)
+    try:
+        want = vars(cli.build_parser().parse_args(argv))
+    except cli.UsageError:
+        want = None
+    got = cli._parse(argv)
+    if want is None or not well_formed:
+        assert got is None or vars(got) == want, argv
+    else:  # a plain command line never builds the parser
+        assert got is not None and vars(got) == want, argv
+
+
+def test_every_benchmark_job_parses_on_the_fast_path():
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+    for key in json.loads(golden.read_text()):
+        argv = key.split()
+        got = cli._parse(argv)
+        assert got is not None, key
+        assert vars(got) == vars(cli.build_parser().parse_args(argv)), key
 
 
 def test_threads_env_is_ignored(capsys, monkeypatch):

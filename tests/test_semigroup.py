@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gk2codes import cli
+from gk2codes import cli, semigroup
 from gk2codes.gk2 import curve_params, o1_generators, o2_generators, semigroup_o1
 from gk2codes.semigroup import (
     NumericalSemigroup,
@@ -295,8 +295,8 @@ def test_closure_stops_at_the_first_multiple_on_the_paper_sets(qn):
 
 @pytest.mark.parametrize("generators", [o1_generators, o2_generators])
 def test_closure_peak_memory_stays_near_the_table(generators):
-    # the table, and for O2's step-1 run the ones it is sliced from; the
-    # table read as one int and shifted took 4.2 times the table
+    # the table, and the ones its slices are cut from, no longer than the
+    # longest slice; the table read as one int and shifted took 4.2 times it
     params = curve_params(4, 7)
     gens = generators(params)
     bound = 2 * params.genus + gens[0] + 1  # the sieve bound of from_generators
@@ -306,7 +306,18 @@ def test_closure_peak_memory_stays_near_the_table(generators):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (bound + 1)
+    assert peak < 1.1 * (bound + 1)
+
+
+def test_from_generators_keeps_the_table_the_closure_built(monkeypatch):
+    # the sieve is the table the closure wrote, not a copy of it
+    built = []
+    monkeypatch.setattr(semigroup, "closure_table",
+                        lambda *args: built.append(closure_table(*args)) or built[-1])
+    sg = NumericalSemigroup.from_generators(H_O1_25)
+    assert sg._sieve is built[-1]
+    twin = NumericalSemigroup(sg.generators, sg.conductor, bytes(sg._sieve))
+    assert twin == sg and hash(twin) == hash(sg)
 
 
 generator_sets = st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
