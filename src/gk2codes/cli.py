@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import sys
-from itertools import chain, compress, islice, tee
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -144,49 +144,102 @@ def _require_curve_scale(q: int):
 _BLOCK_ROWS = 4096
 
 
-def _table(fmt, meta, nrows, columns, text=()):
-    """Writer of one table of nrows rows, given its meta and its columns.
+def _table(fmt, meta, headers, runs, text=()):
+    """Writer of one table, given its meta, its headers and its rows as runs.
 
-    columns maps each header to one iterable over that column's cells, the
-    whole table long.  The cells are ints, but for the columns named in
-    text, whose cells are strs.  The bytes are those of a csv writer, of
-    ``json.dumps(indent=2)`` over ``{"schema", **meta, "rows": [one dict per
-    row]}``, or of the Markdown lines; they go out in blocks of
-    ``_BLOCK_ROWS`` rows, never as one string.
+    Each run is (row count, cells), with one entry per header: an iterable
+    over the column's cells in the run, or one cell constant over the run.
+    The cells are ints, but for the columns named in text, whose cells are
+    strs.  The bytes are those of a csv writer (minimal quoting, "\n" line
+    ends), of ``json.dumps(indent=2)`` over ``{"schema", **meta, "rows": [one
+    dict per row]}``, or of the Markdown lines.
+
+    Each run has one bytes row template: its constants written in by the
+    format's cell rule, %d for an int column and %s for the quoted, encoded
+    cells of a text column.  Its rows go out in blocks of ``_BLOCK_ROWS``,
+    one bytes ``%`` each, to the stream's binary layer.
     """
-    headers = list(columns)
-    cols = list(columns.values())
 
     def write(stream):
-        if fmt == "csv":
-            # a block per write call: straight to an unbuffered stdout,
-            # csv.writer would make one call per row
-            stream.write(_csv_text([headers]))
-            rows = zip(*cols)
-            for _ in range(0, nrows, _BLOCK_ROWS):
-                stream.write(_csv_text(islice(rows, _BLOCK_ROWS)))
-        elif fmt == "json":
-            _write_json_rows(stream, meta, nrows, headers, cols, text)
+        encoding, errors = stream.encoding or "utf-8", stream.errors or "strict"
+        out = _binary_writer(stream, encoding, errors)
+        sep = tail = ""
+        if fmt == "json":
+            import json
+
+            quote = json.encoder.encode_basestring_ascii
+            keys = [f"      {quote(h)}: ".replace("%", "%%") for h in headers]
+            head = json.dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}, indent=2) + "\n"
+            if any(count for count, _ in runs):
+                head, sep, tail = head.removesuffix("[]\n}\n") + "[\n", ",\n", "\n  ]\n}\n"
+
+            def line(slots):
+                return "    {\n" + ",\n".join(map(str.__add__, keys, slots)) + "\n    }"
+        elif fmt == "csv":
+            def quote(cell):  # as csv.writer quotes: minimal, with "\n" line ends
+                if "," in cell or '"' in cell or "\n" in cell or (not cell and len(headers) == 1):
+                    return '"' + cell.replace('"', '""') + '"'
+                return cell
+
+            def line(slots):
+                return ",".join(slots) + "\n"
+
+            head = line(map(quote, headers))
         else:
-            stream.write("| " + " | ".join(headers) + " |\n|" + "---|" * len(headers) + "\n")
-            row = "| " + " | ".join(["%s"] * len(headers)) + " |\n"
-            _write_blocks(stream, nrows, cols, row, "")
+            quote = str
+
+            def line(slots):
+                return "| " + " | ".join(slots) + " |\n"
+
+            head = line(headers) + "|" + "---|" * len(headers) + "\n"
+        out(head.encode(encoding, errors))
+        sep = sep.encode()
+        first = True  # no separator before the table's first row
+        for count, cells in runs:
+            slots, args = [], []
+            for header, cell in zip(headers, cells):
+                if isinstance(cell, (int, str)):  # one cell constant over the run
+                    cell = quote(cell) if header in text else "%d" % cell
+                    slots.append(cell.replace("%", "%%"))
+                elif header in text:
+                    slots.append("%s")
+                    args.append(map(str.encode, map(quote, cell), repeat(encoding),
+                                    repeat(errors)))
+                else:
+                    slots.append("%d")
+                    args.append(cell)
+            template = sep + line(slots).encode(encoding, errors)
+            full = template * min(count, _BLOCK_ROWS)
+            cells = chain.from_iterable(zip(*args))
+            for i in range(0, count, _BLOCK_ROWS):
+                n = min(_BLOCK_ROWS, count - i)
+                block = template * n if i and n < _BLOCK_ROWS else full  # a short last block
+                if first:
+                    block, first = block[len(sep):], False
+                out(block % tuple(islice(cells, n * len(args))))
+        out(tail.encode())
 
     return write
 
 
-def _write_blocks(stream, nrows, cols, row, sep):
-    """Write nrows rows as copies of the row template joined by sep, one % per block.
+def _binary_writer(stream, encoding, errors):
+    """A function that writes bytes whole, after all the text stream holds.
 
-    cols holds one iterable per column; each block takes its cells from one
-    row-major chain over them.
+    The bytes go to the stream's binary layer, which under PYTHONUNBUFFERED
+    is raw and may take part of a write; a stream with none (io.StringIO)
+    gets them decoded.
     """
-    cells = chain.from_iterable(zip(*cols))
-    full = sep.join([row] * _BLOCK_ROWS)
-    for i in range(0, nrows, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, nrows - i)
-        template = full if n == _BLOCK_ROWS else sep.join([row] * n)
-        stream.write((sep if i else "") + template % tuple(islice(cells, n * len(cols))))
+    raw = getattr(stream, "buffer", None)
+    if raw is None:
+        return lambda data: stream.write(data.decode(encoding, errors))
+    stream.flush()
+
+    def write(data):
+        view = memoryview(data)
+        while view:
+            view = view[raw.write(view):]
+
+    return write
 
 
 def _csv_text(rows):
@@ -195,24 +248,6 @@ def _csv_text(rows):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
-
-
-def _write_json_rows(stream, meta, nrows, headers, cols, text):
-    import json
-
-    head = json.dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}, indent=2)
-    stream.write(head.removesuffix("[]\n}"))
-    if not nrows:
-        stream.write("[]\n}\n")
-        return
-    # each cell as json.dumps writes it: an int as %s does, a str quoted and escaped
-    quote = json.encoder.encode_basestring_ascii
-    cols = [map(quote, col) if h in text else col for h, col in zip(headers, cols)]
-    keys = (json.dumps(h).replace("%", "%%") for h in headers)
-    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    stream.write("[\n")
-    _write_blocks(stream, nrows, cols, row, ",\n")
-    stream.write("\n  ]\n}\n")
 
 
 def _render_payload(fmt, payload):
@@ -274,7 +309,7 @@ def _cmd_gaps(args):
     gaps = compress(range(len(gap_bytes)), gap_bytes)
     meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
             "count": params.genus}
-    return _table(args.format, meta, params.genus, {"gap": gaps})
+    return _table(args.format, meta, ["gap"], [(params.genus, [gaps])])
 
 
 def _cmd_fengrao_table(args):
@@ -290,8 +325,8 @@ def _cmd_fengrao_table(args):
         "orbit": args.orbit,
         "N": params.rational_point_count - 1,
     }
-    columns = {"k": dims, "rho_l": rhos, "nu_l": nus, "d_ord": d_ords}
-    return _table(args.format, meta, len(index), columns)
+    return _table(args.format, meta, ["k", "rho_l", "nu_l", "d_ord"],
+                  [(len(index), [dims, rhos, nus, d_ords])])
 
 
 def _cmd_quantum_table(args):
@@ -300,19 +335,21 @@ def _cmd_quantum_table(args):
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
     if args.regime == quantum.REGIME_HIGH_DEGREE:
-        # the columns alone: no QuantumRange record is built
+        # one or two runs, s_min and the note constant over each: no record is built
         l_min, l_max = quantum._window(params, args.lmin, args.lmax, args.regime)
-        _, index, d_floor, s_min, s_max, _, notes = quantum._columns(
-            params, None, l_min, l_max, args.regime)
-        nrows = len(index)
+        runs = [(count, [index, d_floor, s_min, s_max, note or ""])
+                for count, (_, index, d_floor, s_min, s_max, _, note)
+                in quantum._high_degree_runs(params, l_min, l_max)]
     else:
         from . import refdata
 
         rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
-        rows = refdata._with_notes(params, args.orbit, rows)
-        fields = ("index", "d_floor", "s_min", "s_max", "discrepancy")
-        index, d_floor, s_min, s_max, notes = (map(attrgetter(f), rows) for f in fields)
-        nrows = len(rows)
+        notes = ""  # no published table: no row has a note
+        if refdata.has_reference(params):
+            rows = refdata._with_notes(params, args.orbit, rows)
+            notes = (row.discrepancy or "" for row in rows)
+        fields = ("index", "d_floor", "s_min", "s_max")
+        runs = [(len(rows), [*(map(attrgetter(f), rows) for f in fields), notes])]
     meta = {
         "command": "quantum-table",
         "q": params.q,
@@ -321,19 +358,8 @@ def _cmd_quantum_table(args):
         "regime": args.regime,
         "N": params.rational_point_count - 1,
     }
-    columns = {"l": index, "d_ord": d_floor, "s_min": s_min, "s_max": s_max,
-               "discrepancy": _blank_none(notes)}
-    return _table(args.format, meta, nrows, columns, text=("discrepancy",))
-
-
-_BLANK_NONE = {None: ""}
-
-
-def _blank_none(notes):
-    """The notes, with "" for None."""
-    notes, again = tee(notes)
-    # get(note, note): "" for None, the note itself otherwise
-    return map(_BLANK_NONE.get, notes, again)
+    return _table(args.format, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"], runs,
+                  text=("discrepancy",))
 
 
 def _cmd_frobenius(args):

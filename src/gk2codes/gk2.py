@@ -265,8 +265,10 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     c < q, with length ts - t for S_i and (q^2 - q)s - t for S_j.  Each run
     is one strided slice of the sieves of H1 and S, past whose ends all
     values are members (so S's is read only if the largest run value is
-    below its conductor), and of one byte table of marks, whose 2s count the
-    values an earlier run of the same set holds.  The sieves prove their
+    below its conductor).  Once S's genus is read, its sieve, local to this
+    call, holds the marks too: a run value reads 0 or 1 as long as no run
+    has held it (1 for a member of S), 2 once an earlier set has, and 3 once
+    an earlier run of the same set has.  The sieves prove their
     conductors: S, symmetric as telescopic, closes once from twice its
     closed-form genus.  H1 is built only if some set is nonempty, which
     needs s >= 2, so that mq, mq + q^2 - q and q^n + 1 are O1 generators
@@ -286,9 +288,10 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     if top:
         h1 = NumericalSemigroup.from_generators(
             o1_generators(params), conductor_hint=2 * params.genus)._sieve
-    marks = bytearray(top + 1)  # 1 on the earlier sets, 2 on the current one
-    ones, twos = b"\x01" * (step * s), b"\x02" * (step * s)  # longer than any run
     inside_ok = top < sg_s.conductor
+    table = sg_s._sieve  # S is this call's own and its genus is read: the marks go here
+    table += b"\x01" * (top + 1 - len(table))  # past the sieve every value is a member
+    twos, threes = b"\x02" * (step * s), b"\x03" * (step * s)  # longer than any run
     disjoint_ok = sizes_ok = True
     total = 0
     for t, length in sets:
@@ -297,13 +300,13 @@ def verify_partition(params: CurveParams) -> PartitionReport:
         runs = [slice(a, a + count * step, step) for a in range(first, first + q * qq1, qq1)]
         size = q * count
         for run in runs:
-            seen = marks[run]
-            inside_ok = inside_ok and 0 not in h1[run] and 1 not in sg_s._sieve[run]
-            disjoint_ok = disjoint_ok and 1 not in seen
-            size -= seen.count(2)
-            marks[run] = twos[:count]
+            seen = table[run]
+            inside_ok = inside_ok and 0 not in h1[run] and 1 not in seen
+            disjoint_ok = disjoint_ok and 2 not in seen
+            size -= seen.count(3)
+            table[run] = threes[:count]
         for run in runs:
-            marks[run] = ones[:count]
+            table[run] = twos[:count]
         sizes_ok = sizes_ok and size == length * q
         total += size
 

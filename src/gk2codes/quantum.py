@@ -8,8 +8,10 @@ Two regimes, split by how the minimum-distance floor is obtained:
   distance, and s ranges over [max(2g-l, 1), min(N-2l, N-l-g+1-d)].
 
 Both regimes take one path: _window is the one place the regime intervals
-are written, _columns gives a window's fields as columns, and _rows zips them
-into the records that quantum_table and the one-row forms range_* return.
+are written, _columns gives a window's fields as columns (the high-degree ones
+expanded from the runs of _high_degree_runs, the one place their split is
+written), and _rows zips them into the records that quantum_table and the
+one-row forms range_* return.
 """
 
 from __future__ import annotations
@@ -88,24 +90,46 @@ def _columns(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: i
              l_max: int, regime: str) -> tuple:
     """The QuantumRange fields of the rows l in a window _window passed, as columns.
 
-    Each column is a progression in l (a ``range``), a run of one value, or a
-    ``map`` over those and the order-bound d_ord column, the one Python call
-    per row.  The high-degree regime leaves semigroup unused.
+    Each column is a progression in l (a ``range``), a run of one value, a
+    chain of those over the high-degree runs, or a ``map`` over them and the
+    order-bound d_ord column, the one Python call per row.  The high-degree
+    regime leaves semigroup unused.
     """
+    if regime == REGIME_HIGH_DEGREE:
+        runs = _high_degree_runs(params, l_min, l_max)
+        counts = [count for count, _ in runs]
+        return tuple(chain.from_iterable(map(_run_cells, cells, counts))
+                     for cells in zip(*(fields for _, fields in runs)))
     g = params.genus
     length = params.rational_point_count - 1
     index = range(l_min, l_max + 1)
     n_minus_2l = range(length - 2 * l_min, length - 2 * l_max - 1, -2)
-    if regime == REGIME_HIGH_DEGREE:
-        # s_max = N - 2l >= 1 exactly for l <= (N - 1) // 2; past that the range is empty
-        split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
-        notes = chain(repeat(None, split - l_min), repeat("empty range", l_max + 1 - split))
-        return (repeat(length), index, range(l_min + 1 - g, l_max + 2 - g), repeat(1),
-                n_minus_2l, repeat(regime), notes)
     d = list(map(d_ord, repeat(semigroup), index))
     s_min = map(max, range(2 * g - l_min, 2 * g - l_max - 1, -1), repeat(1))
     s_max = map(min, n_minus_2l, map(sub, range(length - l_min - g + 1, length - l_max - g, -1), d))
     return repeat(length), index, d, s_min, s_max, repeat(regime), repeat(None)
+
+
+def _high_degree_runs(params: CurveParams, l_min: int, l_max: int) -> list[tuple]:
+    """The high-degree rows l of a window _window passed, as one or two runs.
+
+    A run is (row count, fields): the QuantumRange fields in order, each a
+    ``range`` over the run's rows or one value constant over them.  s_max =
+    N - 2l >= 1 exactly for l <= (N - 1) // 2; the rows past that have an
+    empty range and make the second run, noted "empty range".
+    """
+    g = params.genus
+    length = params.rational_point_count - 1
+    split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
+    return [(hi - lo, (length, range(lo, hi), range(lo + 1 - g, hi + 1 - g), 1,
+                       range(length - 2 * lo, length - 2 * hi, -2), REGIME_HIGH_DEGREE, note))
+            for lo, hi, note in ((l_min, split, None), (split, l_max + 1, "empty range"))
+            if lo < hi]
+
+
+def _run_cells(cells, count: int):
+    """One field's cells over a run: its range, or its constant count times."""
+    return cells if isinstance(cells, range) else repeat(cells, count)
 
 
 def _rows(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int | None,

@@ -9,6 +9,7 @@ import sys
 import time
 from itertools import chain, combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,16 @@ _NOT_LOADED_BY = {
 _PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
+# table jobs at (2, 3), which has no published tables to read
+_TABLE_PROBE_JOBS = (
+    "gaps --q 2 --n 3 --orbit O1",
+    "gaps --q 2 --n 3 --orbit O2",
+    "fengrao-table --q 2 --n 3 --orbit O1",
+    "quantum-table --q 2 --n 3 --orbit O1",
+    "quantum-table --q 2 --n 3 --orbit O1 --regime high-degree",
+)
+
+
 def test_cli_imports_only_the_standard_library():
     # site hooks may preload third-party modules, so only new imports count
     probe = (
@@ -322,6 +333,22 @@ def test_cli_imports_only_the_standard_library():
     out = subprocess.run([sys.executable, "-m", "gk2codes.cli", "--help"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.startswith("usage: gk2codes"), out.stderr
+    # no table job loads csv, in any format: all rows go through the one
+    # bytes writer
+    probe = (
+        "import os, sys\n"
+        "from gk2codes.cli import main\n"
+        "for fmt in ('csv', 'json', 'md'):\n"
+        "    for job in sys.argv[1:]:\n"
+        "        code = main(job.split() + ['--format', fmt, '-o', os.devnull])\n"
+        "        print(job, fmt, code, 'csv' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, *_TABLE_PROBE_JOBS],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3 * len(_TABLE_PROBE_JOBS)
+    assert all(line.endswith(" 0 False") for line in lines), lines
 
 
 def test_regime_choices_are_the_quantum_regimes():
@@ -669,6 +696,13 @@ TABLE_JOBS = [
     ("quantum-table", 2, 5, "O2", {"lmin": 50, "lmax": 60}),
     # "empty range" notes past l = N/2
     ("quantum-table", 2, 3, "O1", {"regime": quantum.REGIME_HIGH_DEGREE}),
+    # windows across that split: N = 224, so the noted rows start at l = 112
+    ("quantum-table", 2, 3, "O1",
+     {"regime": quantum.REGIME_HIGH_DEGREE, "lmin": 111, "lmax": 112}),
+    ("quantum-table", 2, 3, "O1",
+     {"regime": quantum.REGIME_HIGH_DEGREE, "lmin": 112, "lmax": 112}),
+    ("quantum-table", 2, 3, "O1",
+     {"regime": quantum.REGIME_HIGH_DEGREE, "lmin": 29, "lmax": 111}),
     # 9001 rows: three blocks of the streamed renderer
     ("quantum-table", 2, 7, "O1",
      {"regime": quantum.REGIME_HIGH_DEGREE, "lmin": 30000, "lmax": 39000}),
@@ -771,9 +805,6 @@ CELLS = {
     "empty": [],
     "one": [[0, ""]],
     "escapes": [[7, 'quote " backslash \\ e-acute \u00e9 percent %s'], [-3, "x"]],
-    # cells that are neither int nor str: csv and Markdown write any cell, the
-    # JSON writer only ints and the strs of the columns it is told about
-    "other-types": [[2, None], [True, 2.5]],
     # seven rows: a short last block for blocks of 2, 3 and 4096, exact for 1 and 7
     "seven": [[i, f'%d "{i}" \\ %% \u00e9' * i] for i in range(7)],
 }
@@ -782,8 +813,6 @@ CELLS = {
 def _renderer_cases():
     for fmt in ("csv", "json", "md"):
         for name, rows in CELLS.items():
-            if fmt == "json" and name == "other-types":
-                continue
             for block in (1, 2, 3, 7, 4096):
                 yield pytest.param(fmt, rows, block, id=f"{fmt}-{name}-{block}")
 
@@ -795,10 +824,58 @@ def test_table_renderer_matches_former_renderer(monkeypatch, fmt, rows, block):
     cols = list(zip(*rows)) or [(), ()]
     text = [h for h, col in zip(headers, cols) if col and all(type(c) is str for c in col)]
     # one pass over each column: the writer gets iterators, not sequences
-    columns = {h: iter(col) for h, col in zip(headers, cols)}
-    buf = io.StringIO()
-    cli._table(fmt, meta, len(rows), columns, text=text)(buf)
+    runs = [(len(rows), [iter(col) for col in cols])]
+    buf = io.StringIO()  # no binary layer: the writer decodes its bytes
+    cli._table(fmt, meta, headers, runs, text=text)(buf)
     assert buf.getvalue() == _render_table(fmt, meta, headers, rows)
+
+
+# strs that exercise every cell rule: csv quoting, JSON escapes, Markdown as
+# is, a "%" in a bytes template and a non-ASCII character to encode
+_TEXT = st.text(alphabet='ab %sd",\r\n\\\u00e9\u20ac', max_size=5)
+_INTS = st.integers(-2**70, 2**70)
+
+
+@st.composite
+def _runs_tables(draw):
+    """headers, meta, text columns and runs of one table, and its rows expanded."""
+    headers = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    text = [h for h in headers if draw(st.booleans())]
+    meta = draw(st.dictionaries(_TEXT.filter(lambda k: k != "rows"), _TEXT | _INTS, max_size=2))
+    runs, rows = [], []
+    for count in draw(st.lists(st.integers(0, 9), max_size=4)):
+        cells, columns = [], []
+        for h in headers:
+            values = _TEXT if h in text else _INTS
+            if draw(st.booleans()):  # one cell constant over the run
+                cell = draw(values)
+                cells.append(cell)
+                columns.append([cell] * count)
+            else:
+                cells.append(draw(st.lists(values, min_size=count, max_size=count)))
+                columns.append(cells[-1])
+        runs.append((count, cells))
+        rows += zip(*columns)
+    return headers, meta, text, runs, [list(r) for r in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs_tables())
+def test_run_writer_matches_former_renderer(table):
+    headers, meta, text, runs, rows = table
+    for fmt in ("csv", "json", "md"):
+        want = _render_table(fmt, meta, headers, rows).encode()
+        for block in (1, 2, 3, 7, 4096):
+            # one pass over each column: the writer gets iterators, not lists
+            once = [(count, [c if isinstance(c, (int, str)) else iter(c) for c in cells])
+                    for count, cells in runs]
+            stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+            stream.write("before\n")  # still in the text layer when the writer starts
+            with mock.patch.object(cli, "_BLOCK_ROWS", block):
+                cli._table(fmt, meta, headers, once, text=text)(stream)
+            stream.write("after\n")
+            stream.flush()
+            assert stream.buffer.getvalue() == b"before\n" + want + b"after\n", (fmt, block)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
@@ -908,14 +985,30 @@ def test_reference_notes_match_the_former_note_formula(monkeypatch, orbit):
         assert [r._replace(discrepancy=None) for r in noted] == rows
 
 
+# the largest table job of the benchmark, 64 266 rows: its size and sha256 in
+# each format (json's is the one recorded for it in perfbench/golden.json)
+HIGH_DEGREE_ARGV = ["quantum-table", "--q", "2", "--n", "7", "--orbit", "O1",
+                    "--regime", "high-degree"]
+HIGH_DEGREE_SHA256 = {
+    "json": "ecaaa4cee35e4135d6304e85aa9dbaf7d5eb708caa93a0f034e5fd403de5f108",
+    "csv": "9b4d112426460bf1d772c7f28411b030903570b7d256e8acd746f851674ae3de",
+    "md": "9ccbe5074dad380c2705bfd27b2045e53a1cd33834d0ca77292f17f2f43dcf4a",
+}
+
+
 def test_high_degree_table_golden_bytes(capsys):
-    # the largest table job of the benchmark, 64 266 rows; the sha256 is the
-    # one recorded for it in perfbench/golden.json
-    code, out, _ = run_cli(capsys, "quantum-table", "--q", "2", "--n", "7", "--orbit", "O1",
-                           "--regime", "high-degree")
-    assert code == 0 and len(out) == 7875931
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "ecaaa4cee35e4135d6304e85aa9dbaf7d5eb708caa93a0f034e5fd403de5f108")
+    for fmt, sha in HIGH_DEGREE_SHA256.items():
+        code, out, _ = run_cli(capsys, *HIGH_DEGREE_ARGV, "--format", fmt)
+        assert code == 0 and (fmt != "json" or len(out) == 7875931), fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, fmt
+
+
+def test_unbuffered_process_writes_the_golden_bytes():
+    # under PYTHONUNBUFFERED=1, as in the benchmark, stdout's binary layer is
+    # a raw FileIO, whose writes to a pipe may be short
+    out = subprocess.run(CLI + HIGH_DEGREE_ARGV, capture_output=True, env=_env(buffered=False))
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert hashlib.sha256(out.stdout).hexdigest() == HIGH_DEGREE_SHA256["json"]
 
 
 # -- output contract: where the bytes go when the reader or the file fails ----

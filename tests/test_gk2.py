@@ -319,6 +319,22 @@ def test_partition_matches_the_set_oracle():
         assert not all(r[flag] for r in reports), gk2.PartitionReport._fields[flag]
 
 
+def test_partition_marks_share_the_sieve_of_s():
+    # (4, 7): S's sieve spans 2 g(S) = 43 M values; a second table of marks
+    # as long would double the peak
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = verify_partition(curve_params(4, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.telescopic_genus, rep.partition_total) == (21508584, 21385728)
+    assert rep.all_ok
+    assert peak < 1.5 * 2 * rep.telescopic_genus
+
+
 def test_frobenius_dimensions():
     p25 = curve_params(2, 5)
     assert frobenius_dimension_gk2(p25) == 7
