@@ -8,7 +8,6 @@ failed at runtime), 3 an evaluation needed local resolution.
 
 from __future__ import annotations
 
-import io
 import sys
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter
@@ -150,9 +149,10 @@ def _table(fmt, meta, headers, runs, text=()):
     Each run is (row count, cells), with one entry per header: an iterable
     over the column's cells in the run, or one cell constant over the run.
     The cells are ints, but for the columns named in text, whose cells are
-    strs.  The bytes are those of a csv writer (minimal quoting, "\n" line
-    ends), of ``json.dumps(indent=2)`` over ``{"schema", **meta, "rows": [one
-    dict per row]}``, or of the Markdown lines.
+    strs (a constant None is "").  The bytes are those of a csv writer
+    (minimal quoting, "\n" line ends), of ``json.dumps(indent=2)`` over
+    ``{"schema", **meta, "rows": [one dict per row]}``, or of the Markdown
+    lines.
 
     Each run has one bytes row template: its constants written in by the
     format's cell rule, %d for an int column and %s for the quoted, encoded
@@ -198,8 +198,8 @@ def _table(fmt, meta, headers, runs, text=()):
         for count, cells in runs:
             slots, args = [], []
             for header, cell in zip(headers, cells):
-                if isinstance(cell, (int, str)):  # one cell constant over the run
-                    cell = quote(cell) if header in text else "%d" % cell
+                if cell is None or isinstance(cell, (int, str)):  # constant over the run
+                    cell = quote(cell or "") if header in text else "%d" % cell
                     slots.append(cell.replace("%", "%%"))
                 elif header in text:
                     slots.append("%s")
@@ -242,23 +242,18 @@ def _binary_writer(stream, encoding, errors):
     return write
 
 
-def _csv_text(rows):
-    import csv
-
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def _render_payload(fmt, payload):
+def _payload(fmt, payload):
+    """Writer of a payload: json, a key/value table (values as csv.writer writes them), or md."""
     if fmt == "json":
         import json
 
-        return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+        return _text(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n")
     flat = _flatten(payload)
     if fmt == "csv":
-        return _csv_text([["key", "value"], *flat])
-    return "\n".join(f"- **{k}**: {v}" for k, v in flat) + "\n"
+        values = ("" if v is None else str(v) for _, v in flat)
+        return _table(fmt, {}, ["key", "value"], [(len(flat), [(k for k, _ in flat), values])],
+                      text=("key", "value"))
+    return _text("\n".join(f"- **{k}**: {v}" for k, v in flat) + "\n")
 
 
 def _text(text):
@@ -296,7 +291,7 @@ def _cmd_semigroup(args):
         "symmetric": sg.is_symmetric(),
         "first_nongaps": sg.first_nongaps(20),
     }
-    return _text(_render_payload(args.format, payload))
+    return _payload(args.format, payload)
 
 
 def _cmd_gaps(args):
@@ -336,18 +331,15 @@ def _cmd_quantum_table(args):
     sg = orbit_semigroup(params, args.orbit)
     if args.regime == quantum.REGIME_HIGH_DEGREE:
         # one or two runs, s_min and the note constant over each: no record is built
-        l_min, l_max = quantum._window(params, args.lmin, args.lmax, args.regime)
-        runs = [(count, [index, d_floor, s_min, s_max, note or ""])
-                for count, (_, index, d_floor, s_min, s_max, _, note)
-                in quantum._high_degree_runs(params, l_min, l_max)]
+        runs = [(count, [*fields[1:5], fields[6]]) for count, fields
+                in quantum._runs(params, None, args.lmin, args.lmax, args.regime)]
     else:
         from . import refdata
 
         rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
-        notes = ""  # no published table: no row has a note
+        notes = None  # no published table: no row has a note
         if refdata.has_reference(params):
-            rows = refdata._with_notes(params, args.orbit, rows)
-            notes = (row.discrepancy or "" for row in rows)
+            notes = refdata._notes(params, args.orbit, rows)
         fields = ("index", "d_floor", "s_min", "s_max")
         runs = [(len(rows), [*(map(attrgetter(f), rows) for f in fields), notes])]
     meta = {
@@ -373,7 +365,7 @@ def _cmd_frobenius(args):
         "gk1": frobenius_dimension_gk1(params),
         "isomorphic": "not-applicable" if differ is None else (not differ),
     }
-    return _text(_render_payload(args.format, payload))
+    return _payload(args.format, payload)
 
 
 def _cmd_points(args):
@@ -392,7 +384,7 @@ def _cmd_points(args):
         "orbit_sizes": {"O1": c.o1, "O2": c.o2, "generic": c.generic},
         "maximality_count": params.rational_point_count,
     }
-    return _text(_render_payload(args.format, payload))
+    return _payload(args.format, payload)
 
 
 def _cmd_code_matrix(args):
@@ -510,10 +502,10 @@ def _cmd_verify(args):
             for c in checks
         ]
         lines.append(f"- overall: {'PASS' if all_ok else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
+        write = _text("\n".join(lines) + "\n")
     else:
-        text = _render_payload(args.format, payload)
-    return _text(text), EXIT_OK if all_ok else EXIT_INCONSISTENT
+        write = _payload(args.format, payload)
+    return write, EXIT_OK if all_ok else EXIT_INCONSISTENT
 
 
 _COMMANDS = {
@@ -580,7 +572,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a sieve past the index range
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

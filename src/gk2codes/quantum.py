@@ -8,16 +8,16 @@ Two regimes, split by how the minimum-distance floor is obtained:
   distance, and s ranges over [max(2g-l, 1), min(N-2l, N-l-g+1-d)].
 
 Both regimes take one path: _window is the one place the regime intervals
-are written, _columns gives a window's fields as columns (the high-degree ones
-expanded from the runs of _high_degree_runs, the one place their split is
-written), and _rows zips them into the records that quantum_table and the
+are written, _runs gives a window's rows as runs of fields (the one place
+the high-degree split is written; the CLI writes high-degree tables straight
+from them), and _rows zips them into the records that quantum_table and the
 one-row forms range_* return.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import chain, repeat
+from itertools import repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -86,61 +86,46 @@ def _window(
     return l_min, l_max
 
 
-def _columns(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int,
-             l_max: int, regime: str) -> tuple:
-    """The QuantumRange fields of the rows l in a window _window passed, as columns.
+def _runs(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int | None,
+          l_max: int | None, regime: str) -> list[tuple]:
+    """The rows of the window _window checks and completes, as runs.
 
-    Each column is a progression in l (a ``range``), a run of one value, a
-    chain of those over the high-degree runs, or a ``map`` over them and the
-    order-bound d_ord column, the one Python call per row.  The high-degree
-    regime leaves semigroup unused.
+    A run is (row count, fields): the QuantumRange fields in order, each an
+    int, str or None constant over the run, or an iterable over its cells.
+    The order-bound regime is one run, whose d_ord column is the one Python
+    call per row.  The high-degree regime leaves semigroup unused: s_max =
+    N - 2l >= 1 exactly for l <= (N - 1) // 2, and the empty rows past that
+    make a second run, noted "empty range".
     """
-    if regime == REGIME_HIGH_DEGREE:
-        runs = _high_degree_runs(params, l_min, l_max)
-        counts = [count for count, _ in runs]
-        return tuple(chain.from_iterable(map(_run_cells, cells, counts))
-                     for cells in zip(*(fields for _, fields in runs)))
+    l_min, l_max = _window(params, l_min, l_max, regime)
     g = params.genus
     length = params.rational_point_count - 1
+    if regime == REGIME_HIGH_DEGREE:
+        split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
+        return [(hi - lo, (length, range(lo, hi), range(lo + 1 - g, hi + 1 - g), 1,
+                           range(length - 2 * lo, length - 2 * hi, -2), regime, note))
+                for lo, hi, note in ((l_min, split, None), (split, l_max + 1, "empty range"))
+                if lo < hi]
     index = range(l_min, l_max + 1)
     n_minus_2l = range(length - 2 * l_min, length - 2 * l_max - 1, -2)
     d = list(map(d_ord, repeat(semigroup), index))
     s_min = map(max, range(2 * g - l_min, 2 * g - l_max - 1, -1), repeat(1))
     s_max = map(min, n_minus_2l, map(sub, range(length - l_min - g + 1, length - l_max - g, -1), d))
-    return repeat(length), index, d, s_min, s_max, repeat(regime), repeat(None)
-
-
-def _high_degree_runs(params: CurveParams, l_min: int, l_max: int) -> list[tuple]:
-    """The high-degree rows l of a window _window passed, as one or two runs.
-
-    A run is (row count, fields): the QuantumRange fields in order, each a
-    ``range`` over the run's rows or one value constant over them.  s_max =
-    N - 2l >= 1 exactly for l <= (N - 1) // 2; the rows past that have an
-    empty range and make the second run, noted "empty range".
-    """
-    g = params.genus
-    length = params.rational_point_count - 1
-    split = min(max((length - 1) // 2 + 1, l_min), l_max + 1)
-    return [(hi - lo, (length, range(lo, hi), range(lo + 1 - g, hi + 1 - g), 1,
-                       range(length - 2 * lo, length - 2 * hi, -2), REGIME_HIGH_DEGREE, note))
-            for lo, hi, note in ((l_min, split, None), (split, l_max + 1, "empty range"))
-            if lo < hi]
-
-
-def _run_cells(cells, count: int):
-    """One field's cells over a run: its range, or its constant count times."""
-    return cells if isinstance(cells, range) else repeat(cells, count)
+    return [(len(index), (length, index, d, s_min, s_max, regime, None))]
 
 
 def _rows(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int | None,
           l_max: int | None, regime: str) -> list[QuantumRange]:
-    """The ranges for the window _window checks and completes, zipped from their columns.
+    """The ranges of the window's runs, each constant field repeated over its run.
 
     The records are made by ``tuple.__new__``, with no Python call per record.
     """
-    l_min, l_max = _window(params, l_min, l_max, regime)
-    columns = zip(*_columns(params, semigroup, l_min, l_max, regime))
-    return list(map(tuple.__new__, repeat(QuantumRange), columns))
+    rows = []
+    for count, fields in _runs(params, semigroup, l_min, l_max, regime):
+        columns = (repeat(f, count) if f is None or isinstance(f, (int, str)) else f
+                   for f in fields)
+        rows += map(tuple.__new__, repeat(QuantumRange), zip(*columns))
+    return rows
 
 
 def quantum_table(

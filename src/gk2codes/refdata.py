@@ -11,9 +11,9 @@ A computed row and its printed row are compared in one place,
 _cell_mismatches, cell by cell in the order of a printed-column -> field map:
 rho_l, nu_l, d_ord for the classical tables, d_ord, s_min, s_max for the CSS
 ranges.  Its mismatches make the value mismatches of compare_code_table, the
-discrepancy notes of the quantum-table rows (_with_notes) and the two
-mismatch lists of compare_quantum_table; the formula output is never altered
-to match the reference.
+discrepancy column of the CLI's quantum-table (_notes: one str per row, no
+record rebuilt) and the two mismatch lists of compare_quantum_table; the
+formula output is never altered to match the reference.
 """
 
 from __future__ import annotations
@@ -152,23 +152,15 @@ class QuantumTableComparison:
         }
 
 
-def _with_notes(params: CurveParams, orbit: str, rows: list[QuantumRange]) -> list[QuantumRange]:
-    """The order-bound rows, with a discrepancy note on each that has a published row.
-
-    The note joins "<cell> computed <value> != published <value>" over the
-    cells that differ, with "; ", and is None when none does.  The other
-    rows, and all rows when (q, n) has no reference, are left as they are.
-    """
+def _notes(params: CurveParams, orbit: str, rows: list[QuantumRange]) -> list[str]:
+    """Each row's note: "<cell> computed <value> != published <value>" over the
+    cells that differ from its published row, joined by "; ", else ""."""
     if not has_reference(params):
-        return rows
+        raise ValueError(f"no reference table for q={params.q}, n={params.n}")
     published = {r["l"]: r for r in load_quantum_reference(orbit)}
-    return [
-        row._replace(discrepancy="; ".join(
-            f"{m.column} computed {m.computed} != published {m.reference}"
-            for m in _cell_mismatches(row, published[row.index], _QUANTUM_CELLS)) or None)
-        if row.index in published else row
-        for row in rows
-    ]
+    return ["; ".join(f"{m.column} computed {m.computed} != published {m.reference}"
+                      for m in _cell_mismatches(row, published[row.index], _QUANTUM_CELLS))
+            if row.index in published else "" for row in rows]
 
 
 def compare_quantum_table(

@@ -293,13 +293,17 @@ _NOT_LOADED_BY = {
 _PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
-# table jobs at (2, 3), which has no published tables to read
-_TABLE_PROBE_JOBS = (
+# table and payload jobs at (2, 3), which has no published tables to read
+_CSV_PROBE_JOBS = (
     "gaps --q 2 --n 3 --orbit O1",
     "gaps --q 2 --n 3 --orbit O2",
     "fengrao-table --q 2 --n 3 --orbit O1",
     "quantum-table --q 2 --n 3 --orbit O1",
     "quantum-table --q 2 --n 3 --orbit O1 --regime high-degree",
+    "semigroup --q 2 --n 3 --orbit O1",
+    "frobenius --q 2 --n 3",
+    "points --q 2 --n 3",
+    "verify --q 2 --n 3",
 )
 
 
@@ -333,8 +337,8 @@ def test_cli_imports_only_the_standard_library():
     out = subprocess.run([sys.executable, "-m", "gk2codes.cli", "--help"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.startswith("usage: gk2codes"), out.stderr
-    # no table job loads csv, in any format: all rows go through the one
-    # bytes writer
+    # no table or payload job loads csv, in any format: all csv goes through
+    # the one bytes writer
     probe = (
         "import os, sys\n"
         "from gk2codes.cli import main\n"
@@ -343,11 +347,11 @@ def test_cli_imports_only_the_standard_library():
         "        code = main(job.split() + ['--format', fmt, '-o', os.devnull])\n"
         "        print(job, fmt, code, 'csv' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe, *_TABLE_PROBE_JOBS],
+    out = subprocess.run([sys.executable, "-c", probe, *_CSV_PROBE_JOBS],
                          capture_output=True, text=True)
     assert (out.returncode, out.stderr) == (0, "")
     lines = out.stdout.splitlines()
-    assert len(lines) == 3 * len(_TABLE_PROBE_JOBS)
+    assert len(lines) == 3 * len(_CSV_PROBE_JOBS)
     assert all(line.endswith(" 0 False") for line in lines), lines
 
 
@@ -878,11 +882,45 @@ def test_run_writer_matches_former_renderer(table):
             assert stream.buffer.getvalue() == b"before\n" + want + b"after\n", (fmt, block)
 
 
+def _former_payload(fmt, payload):
+    """The former payload renderer, csv through csv.writer: one string, kept as the oracle."""
+    if fmt == "json":
+        return json.dumps({"schema": 1, **payload}, indent=2) + "\n"
+    flat = cli._flatten(payload)
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["key", "value"], *flat])
+        return buf.getvalue()
+    return "\n".join(f"- **{k}**: {v}" for k, v in flat) + "\n"
+
+
+_SCALARS = st.none() | st.booleans() | _INTS | _TEXT
+_PAYLOADS = st.dictionaries(_TEXT, st.recursive(
+    _SCALARS | st.lists(_SCALARS, max_size=3),
+    lambda values: st.dictionaries(_TEXT, values, max_size=3), max_leaves=6), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PAYLOADS)
+def test_payload_writer_matches_former_renderer(payload):
+    for fmt in ("csv", "json", "md"):
+        want = _former_payload(fmt, payload)
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        stream.write("before\n")  # still in the text layer when the writer starts
+        cli._payload(fmt, payload)(stream)
+        stream.write("after\n")
+        stream.flush()
+        assert stream.buffer.getvalue() == b"before\n" + want.encode() + b"after\n", fmt
+        buf = io.StringIO()  # no binary layer
+        cli._payload(fmt, payload)(buf)
+        assert buf.getvalue() == want, fmt
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
 def test_payload_output_is_the_rendered_payload(capsys, tmp_path, fmt):
     argv = ["frobenius", "--q", "2", "--n", "5", "--format", fmt]
     payload = {"command": "frobenius", "q": 2, "n": 5, "gk2": 7, "gk1": 9, "isomorphic": False}
-    want = cli._render_payload(fmt, payload)
+    want = _former_payload(fmt, payload)
     assert run_cli(capsys, *argv) == (0, want, "")
     path = tmp_path / "p.out"
     assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
@@ -979,10 +1017,10 @@ def test_reference_notes_match_the_former_note_formula(monkeypatch, orbit):
         for l in list(printed)[::5]:
             del printed[l]
         monkeypatch.setattr(refdata, "load_quantum_reference", lambda orb: list(printed.values()))
-        noted = refdata._with_notes(params, orbit, rows)
-        assert [r.discrepancy for r in noted] == [
-            _reference_note(printed.get(r.index), r.d_floor, r.s_min, r.s_max) for r in rows]
-        assert [r._replace(discrepancy=None) for r in noted] == rows
+        notes = refdata._notes(params, orbit, rows)
+        assert notes == [_reference_note(printed.get(r.index), r.d_floor, r.s_min, r.s_max) or ""
+                         for r in rows]
+        assert rows == quantum.quantum_table(params, orbit_semigroup(params, orbit))
 
 
 # the largest table job of the benchmark, 64 266 rows: its size and sha256 in
@@ -1051,6 +1089,23 @@ def test_reader_closing_the_pipe_early_is_not_an_error(entry, job, buffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# q = 1000003 at n = 3: every sieve bound is past the largest index, so the
+# first sieve allocation raises OverflowError
+@pytest.mark.parametrize("argv", [
+    "semigroup --q 1000003 --n 3 --orbit O1",
+    "semigroup --q 1000003 --n 3 --orbit O2",
+    "gaps --q 1000003 --n 3 --orbit O1",
+    "fengrao-table --q 1000003 --n 3 --orbit O1",
+    "quantum-table --q 1000003 --n 3 --orbit O1",
+])
+def test_sieve_past_the_index_range_is_a_one_line_usage_error(argv):
+    out = subprocess.run(CLI + argv.split(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    assert out.stdout == ""
 
 
 def test_closed_stdout_is_a_one_line_error():

@@ -12,7 +12,7 @@ from gk2codes.quantum import (
     REGIME_HIGH_DEGREE,
     REGIME_ORDER_BOUND,
     QuantumRange,
-    _columns,
+    _runs,
     _window,
     quantum_table,
     range_high_degree,
@@ -207,12 +207,22 @@ def test_order_bound_table_matches_per_row_oracle(job):
 @example((2, 3, "O1", HD, 111, 113))
 @example((2, 3, "O1", HD, 214, 214))
 @example((2, 3, "O2", OB, 10, 29))
-def test_high_degree_columns_zip_to_the_table(job):
+def test_runs_are_what_the_table_writer_takes(job):
+    # cli._table writes an int, str or None field as a constant and takes
+    # exactly count cells from any other: a short column would reach its
+    # bytes template with too few cells
     q, n, orbit, regime, l_min, l_max = job
     params, sg = _curve(q, n, orbit)
-    columns = _columns(params, sg, l_min, l_max, regime)
-    rows = quantum_table(params, sg, l_min, l_max, regime=regime)
-    assert list(zip(*columns)) == rows
+    runs = _runs(params, sg, l_min, l_max, regime)
+    assert sum(count for count, _ in runs) == l_max - l_min + 1
+    rows = []
+    for count, fields in runs:
+        columns = [[f] * count if f is None or isinstance(f, (int, str)) else list(f)
+                   for f in fields]
+        assert [len(column) for column in columns] == [count] * len(QuantumRange._fields)
+        rows += zip(*columns)
+    assert rows == quantum_table(params, sg, l_min, l_max, regime=regime)
+    assert rows == oracle_rows(params, sg, l_min, l_max, regime)
 
 
 @pytest.mark.parametrize("regime", [REGIME_ORDER_BOUND, REGIME_HIGH_DEGREE])

@@ -12,7 +12,7 @@ from gk2codes import quantum
 from gk2codes.gk2 import curve_params, semigroup_o1, semigroup_o2
 from gk2codes.quantum import quantum_table
 from gk2codes.refdata import (
-    _with_notes,
+    _notes,
     compare_code_table,
     compare_quantum_table,
     has_reference,
@@ -105,9 +105,10 @@ def test_quantum_comparison_reads_one_table(monkeypatch, p25, semigroups, orbit)
 def test_order_bound_reference_discrepancy(p25, semigroups):
     row = {"l": 46, "d_ord": 6, "s_min": 47, "s_max": 3871}
     assert row in load_quantum_reference("O1")
-    [rng] = _with_notes(p25, "O1", quantum_table(p25, semigroups["O1"], 46, 46))
-    assert rng.discrepancy == "s_min computed 46 != published 47"
-    assert (rng.s_min, rng.s_max) == (46, 3871)  # formula output is normative
+    rows = quantum_table(p25, semigroups["O1"], 46, 46)
+    assert _notes(p25, "O1", rows) == ["s_min computed 46 != published 47"]
+    [rng] = rows  # formula output is normative: the record keeps its cells and no note
+    assert (rng.s_min, rng.s_max, rng.discrepancy) == (46, 3871, None)
 
 
 def test_omitted_o1_cell_values(p25, semigroups):
