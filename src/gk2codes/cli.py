@@ -13,9 +13,10 @@ from itertools import chain, compress, islice, repeat
 from operator import attrgetter
 from types import SimpleNamespace
 
-# curve, gf, fengrao, quantum, refdata, csv and json are imported by the
-# commands and renderers that use them, so each process compiles only what
-# its subcommand runs.
+# curve, gf, fengrao, quantum and refdata are imported by the commands that
+# use them, so each process compiles only what its subcommand runs.  json is
+# imported only by _json_str and _dumps, for a value they do not write
+# themselves.
 from .errors import InternalConsistencyError, NeedsLocalResolutionError
 from .gk2 import (
     _holomorphic_gap_indicator,
@@ -140,6 +141,51 @@ def _require_curve_scale(q: int):
 # -- renderers ---------------------------------------------------------------
 
 
+def _json_str(s):
+    """The JSON string literal of s, as ``json.dumps`` writes it (ASCII only)."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+
+    return json.encoder.encode_basestring_ascii(s)
+
+
+def _json(obj, indent):
+    """``json.dumps(obj, indent=2)`` at a depth whose line break is indent,
+    for dicts with str keys, lists, tuples, strs, ints, bools and None;
+    TypeError for any other value."""
+    kind = type(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return "%d" % obj
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict and all(type(k) is str for k in obj):
+        items, ends = [_json_str(k) + ": " + _json(v, inner) for k, v in obj.items()], "{}"
+    elif kind is list or kind is tuple:
+        items, ends = [_json(v, inner) for v in obj], "[]"
+    else:
+        raise TypeError(f"{kind.__name__} is left to json")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
+def _dumps(obj):
+    """Exactly ``json.dumps(obj, indent=2)``; json is imported only for a
+    value that _json leaves to it."""
+    try:
+        return _json(obj, "\n")
+    except TypeError:
+        import json
+
+        return json.dumps(obj, indent=2)
+
+
 _BLOCK_ROWS = 4096
 
 
@@ -165,11 +211,9 @@ def _table(fmt, meta, headers, runs, text=()):
         out = _binary_writer(stream, encoding, errors)
         sep = tail = ""
         if fmt == "json":
-            import json
-
-            quote = json.encoder.encode_basestring_ascii
+            quote = _json_str
             keys = [f"      {quote(h)}: ".replace("%", "%%") for h in headers]
-            head = json.dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}, indent=2) + "\n"
+            head = _dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}) + "\n"
             if any(count for count, _ in runs):
                 head, sep, tail = head.removesuffix("[]\n}\n") + "[\n", ",\n", "\n  ]\n}\n"
 
@@ -245,13 +289,11 @@ def _binary_writer(stream, encoding, errors):
 def _payload(fmt, payload):
     """Writer of a payload: json, a key/value table (values as csv.writer writes them), or md."""
     if fmt == "json":
-        import json
-
-        return _text(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n")
+        return _text(_dumps({"schema": SCHEMA_VERSION, **payload}) + "\n")
     flat = _flatten(payload)
-    if fmt == "csv":
-        values = ("" if v is None else str(v) for _, v in flat)
-        return _table(fmt, {}, ["key", "value"], [(len(flat), [(k for k, _ in flat), values])],
+    if fmt == "csv":  # every cell rendered here, so a value that fails fails before a write
+        keys, values = [k for k, _ in flat], ["" if v is None else str(v) for _, v in flat]
+        return _table(fmt, {}, ["key", "value"], [(len(flat), [keys, values])],
                       text=("key", "value"))
     return _text("\n".join(f"- **{k}**: {v}" for k, v in flat) + "\n")
 

@@ -6,10 +6,19 @@ integer, in decimal, is the normative on-disk encoding.  The modulus is the
 lexicographically smallest irreducible monic polynomial of its degree
 (coefficients compared low-to-high), so any implementation can reproduce the
 tables.  Multiplication runs on exp/log tables for a verified primitive
-element g.  Addition is XOR in characteristic 2.  In odd characteristic it
-runs on the same tables through Zech logarithms Z(k) = log(1 + g^k), so
-g^i + g^j = g^{i + Z(j - i)}, and negation is multiplication by
--1 = g^{(order-1)/2}.  The Zech table is built on first use.
+element g, the smallest serialized element of full order.  Addition is XOR
+in characteristic 2.  In odd characteristic it runs on the same tables
+through Zech logarithms Z(k) = log(1 + g^k), so g^i + g^j = g^{i + Z(j - i)},
+and negation is multiplication by -1 = g^{(order-1)/2}.  The Zech table is
+built on first use.
+
+Before the tables exist, products in F_p[t]/(f) run on packed integers
+(`_Ring`): coefficient i of a polynomial sits in a w-bit slot of one Python
+int, so one integer product multiplies two polynomials, a Barrett quotient
+by f takes two more, and a slot-wise division by p, itself one product,
+shift and mask, reduces the coefficients after each.  The modulus search
+(a Rabin test per candidate) and the generator search (c^{(order-1)/r} != 1
+for each prime r) run on it.
 
 The exp table is one walk v -> g v.  Multiplying by g is F_p-linear, so g v
 is the digit-wise sum mod p of the images of v's low and high halves of
@@ -34,48 +43,82 @@ _FIELD_CACHE: dict[tuple[int, int], "GfContext"] = {}
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (little-endian coefficient lists)
+# polynomials over F_p: packed products, and a gcd on little-endian lists
 # ---------------------------------------------------------------------------
+
+
+class _Ring:
+    """F_p[t]/(f) for a monic f of degree d, each residue packed into one int.
+
+    Coefficient i sits in bits [w i, w (i + 1)).  Every integer product below
+    multiplies polynomials with coefficients in [0, p) and at most d terms,
+    so no slot sum reaches v_max = d (p - 1)^2 + p and no carry crosses a
+    slot.  `_mod_p` reduces every slot at once: floor(v / p) is (v m) >> s
+    for v < v_max (m = floor(2^s / p) + 1, 2^s > v_max p), w leaves room for
+    v m, and the mask `_keep` drops the low bits that the shift moves into
+    the slot below.  A product a b is reduced mod f by Barrett's quotient
+    floor(floor(a b / t^d) mu / t^(d-1)), mu = floor(t^(2d-1) / f), which is
+    exact for polynomials, so a b - quotient f has no slot at or past d.
+    """
+
+    __slots__ = ("p", "d", "w", "_m", "_s", "_keep", "_mu", "_negf")
+
+    def __init__(self, p, modulus):
+        d = len(modulus) - 1
+        v_max = d * (p - 1) ** 2 + p
+        self.p, self.d = p, d
+        self._s = (v_max * p).bit_length()
+        self._m = (1 << self._s) // p + 1
+        self.w = w = self._s + v_max.bit_length()
+        self._keep = sum(((1 << (w - self._s)) - 1) << (w * i) for i in range(2 * d))
+        rem = [0] * (2 * d - 1) + [1]  # t^(2d-1), divided by f in place
+        mu = [0] * d
+        for i in range(2 * d - 1, d - 1, -1):
+            c = mu[i - d] = rem[i]
+            for j in range(d):
+                rem[i - d + j] = (rem[i - d + j] - c * modulus[j]) % p
+        self._mu = self.pack(mu)
+        self._negf = self.pack([-c % p for c in modulus])
+
+    def pack(self, coeffs):
+        return sum(c << (self.w * i) for i, c in enumerate(coeffs))
+
+    def unpack(self, x):
+        """The d coefficients of a packed residue, lowest first."""
+        mask = (1 << self.w) - 1
+        return [(x >> (self.w * i)) & mask for i in range(self.d)]
+
+    def from_int(self, e):
+        """The packed form of a serialized element sum(c_i p^i)."""
+        x = shift = 0
+        while e:
+            e, c = divmod(e, self.p)
+            x |= c << shift
+            shift += self.w
+        return x
+
+    def _mod_p(self, x):
+        return x - (((x * self._m) >> self._s) & self._keep) * self.p
+
+    def mul(self, a, b):
+        x = self._mod_p(a * b)
+        q = self._mod_p((x >> (self.w * self.d)) * self._mu) >> (self.w * (self.d - 1))
+        return self._mod_p(x + q * self._negf)
+
+    def pow(self, a, e):
+        """a^e for e >= 1, by squaring and multiplying down e's bits."""
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
 
 
 def _poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_modred(res, mod, p)
-
-
-def _poly_modred(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    _poly_trim(a)
-    return a
-
-
-def _poly_powmod(a, e, mod, p):
-    result = [1]
-    base = _poly_modred(a, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
 
 
 def _poly_gcd(a, b, p):
@@ -122,16 +165,16 @@ def _is_irreducible(poly, p):
         return True
     if poly[0] == 0:  # divisible by x
         return False
-    x = [0, 1]
-    xp = _poly_powmod(x, p**d, poly, p)
-    if _poly_trim(list(xp)) != [0, 1]:
+    ring = _Ring(p, poly)
+    frobenius = [ring.pack([0, 1])]  # x^{p^k} for k = 0..d
+    for _ in range(d):
+        frobenius.append(ring.pow(frobenius[-1], p))
+    if frobenius[d] != frobenius[0]:
         return False
     for r in _prime_factors(d):
-        xe = _poly_powmod(x, p ** (d // r), poly, p)
-        diff = list(xe) + [0] * (2 - len(xe))
+        diff = ring.unpack(frobenius[d // r])
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(poly, diff, p)
-        if len(g) - 1 > 0:
+        if len(_poly_gcd(poly, diff, p)) > 1:
             return False
     return True
 
@@ -147,6 +190,19 @@ def _smallest_irreducible(p: int, deg: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {deg} over F_{p}")
 
 
+def _find_generator(ring: _Ring) -> int:
+    """The smallest serialized element c of full order n: no c^{n/r} is 1."""
+    n = ring.p**ring.d - 1
+    if n == 1:
+        return 1
+    factors = _prime_factors(n)
+    for cand in range(2, n + 1):
+        c = ring.from_int(cand)
+        if all(ring.pow(c, n // r) != 1 for r in factors):
+            return cand
+    raise AssertionError(f"no generator found for F_{ring.p}^{ring.d}")
+
+
 def _chunk_images(images, p, weights):
     """Entry u: sum_k u_k images[k] mod p over the base-p digits u_k of u,
     coefficient i weighted by weights[i] (p^i serializes, 2^(b i) packs)."""
@@ -156,12 +212,12 @@ def _chunk_images(images, p, weights):
     return [sum(x * w for x, w in zip(v, weights)) for v in vecs]
 
 
-def _slot_reducer(p, b, count):
-    """Entry s: the `count` b-bit slots of s, each reduced mod p, as the
-    base-p digits of an integer below p^count."""
+def _slot_reducer(p, b, count, unit):
+    """Entry s: unit times the integer below p^count whose base-p digits
+    are the `count` b-bit slots of s, each reduced mod p."""
     table = [0]
     for _ in range(count):  # the next slot enters as the lowest digit
-        table = [x * p + d % p for x in table for d in range(1 << b)]
+        table = [x * p + d % p * unit for x in table for d in range(1 << b)]
     return table
 
 
@@ -187,8 +243,9 @@ class GfContext:
         self.order = p**deg
         self.modulus = _smallest_irreducible(p, deg)
         self._pw = [p**i for i in range(deg + 1)]
-        self.generator = self._find_generator()
-        self._exp, self._log = self._exp_walk()
+        ring = _Ring(p, self.modulus)
+        self.generator = _find_generator(ring)
+        self._exp, self._log = self._exp_walk(ring)
         self._zech = None  # built by _zech_table on the first addition that needs it
 
     # -- serialization ------------------------------------------------------
@@ -214,27 +271,7 @@ class GfContext:
 
     # -- construction internals --------------------------------------------
 
-    def _poly_of(self, e: int) -> list[int]:
-        return _poly_trim(list(self.coeffs(e)))
-
-    def _int_of(self, poly) -> int:
-        return sum(c * self._pw[i] for i, c in enumerate(poly))
-
-    def _find_generator(self) -> int:
-        n = self.order - 1
-        if n == 1:
-            return 1
-        factors = _prime_factors(n)
-        for cand in range(2, self.order):
-            cp = self._poly_of(cand)
-            if all(
-                self._int_of(_poly_powmod(cp, n // r, list(self.modulus), self.p)) != 1
-                for r in factors
-            ):
-                return cand
-        raise AssertionError(f"no generator found for F_{self.p}^{self.deg}")
-
-    def _exp_walk(self):
+    def _exp_walk(self, ring):
         """(exp, log) from the walk v -> g v, exp doubled to length 2(order-1)."""
         # g v is the digit-wise sum mod p of g (v % P) and g (v // P) P, the
         # images of v's low c and high deg - c base-p digits
@@ -242,20 +279,17 @@ class GfContext:
         p, deg = self.p, self.deg
         c = (deg + 1) // 2
         P = p**c
-        mod = list(self.modulus)
-        gp = self._poly_of(self.generator)
-        images = []
-        for k in range(deg):  # coefficient vectors of g * t^k
-            img = _poly_modred([0] * k + gp, mod, p)
-            images.append(img + [0] * (deg - len(img)))
-        exp = [0] * (2 * n)
+        g = ring.from_int(self.generator)
+        # coefficient vectors of g * t^k
+        images = [ring.unpack(ring.mul(g, 1 << (ring.w * k))) for k in range(deg)]
+        exp = [0] * n
         log = [-1] * self.order
         v = 1
         if p == 2:  # packed = serialized, and the digit-wise sum is XOR
             t0 = _chunk_images(images[:c], p, self._pw[:deg])
             t1 = _chunk_images(images[c:], p, self._pw[:deg])
             for i in range(n):
-                exp[i] = exp[i + n] = v
+                exp[i] = v
                 log[v] = i
                 v = t0[v & (P - 1)] ^ t1[v >> c]
         else:
@@ -268,19 +302,19 @@ class GfContext:
             t1 = _chunk_images(images[c:], p, slots)
             k0 = -(-deg // 3)
             k1 = -(-(deg - k0) // 2)
-            r0 = _slot_reducer(p, b, k0)
-            r1 = _slot_reducer(p, b, k1)
-            r2 = _slot_reducer(p, b, deg - k0 - k1)
+            r0 = _slot_reducer(p, b, k0, 1)
+            r1 = _slot_reducer(p, b, k1, p**k0)
+            r2 = _slot_reducer(p, b, deg - k0 - k1, p ** (k0 + k1))
             m0, m1 = (1 << (b * k0)) - 1, (1 << (b * k1)) - 1
             s1, s2 = b * k0, b * (k0 + k1)
-            p1, p2 = p**k0, p ** (k0 + k1)
             for i in range(n):
-                exp[i] = exp[i + n] = v
+                exp[i] = v
                 log[v] = i
                 s = t0[v % P] + t1[v // P]
-                v = r0[s & m0] + r1[(s >> s1) & m1] * p1 + r2[s >> s2] * p2
+                v = r0[s & m0] + r1[(s >> s1) & m1] + r2[s >> s2]
         if v != 1:
             raise AssertionError("generator order check failed while building tables")
+        exp += exp
         return exp, log
 
     # -- field operations ----------------------------------------------------

@@ -334,9 +334,15 @@ def frobenius_dimension_gk2(params: CurveParams) -> int:
 
 
 def frobenius_dimension_gk1(params: CurveParams) -> int:
-    """Frobenius dimension of the first-generalization curve of the same (q, n)."""
+    """Frobenius dimension of the first-generalization curve of the same (q, n).
+
+    It is q^{n-3} + sum_{i=2}^{n-2} (-1)^{i+1} q^i + 1.  For odd n the sum
+    has an even number n - 3 of terms and is geometric with ratio -q, so it
+    equals q^2 (q^{n-3} - 1)/(q + 1).
+    """
     q, n = params.q, params.n
-    return q ** (n - 3) + sum((-1) ** (i + 1) * q**i for i in range(2, n - 1)) + 1
+    top = q ** (n - 3)
+    return top + q * q * (top - 1) // (q + 1) + 1
 
 
 def frobenius_dimensions_differ(q: int, n: int) -> bool | None:

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gk2codes import cli, curve, fengrao, gk2, quantum, refdata, semigroup
@@ -353,6 +353,72 @@ def test_cli_imports_only_the_standard_library():
     lines = out.stdout.splitlines()
     assert len(lines) == 3 * len(_CSV_PROBE_JOBS)
     assert all(line.endswith(" 0 False") for line in lines), lines
+
+
+def test_plain_jobs_never_load_json():
+    # json is the renderer's fallback for values it does not write itself
+    probe = (
+        "import os, sys\n"
+        "from gk2codes.cli import main\n"
+        "for job in sys.argv[1:]:\n"
+        "    code = main(job.split() + ['-o', os.devnull])\n"
+        "    print(job, code, 'json' in sys.modules)\n"
+    )
+    jobs = ("semigroup --q 2 --n 3 --orbit O1", "gaps --q 2 --n 3 --orbit O2",
+            "points --q 2 --n 3", "verify --q 2 --n 3")
+    out = subprocess.run([sys.executable, "-c", probe, *jobs], capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == [f"{job} 0 False" for job in jobs]
+
+
+# printable ASCII with the two characters JSON escapes in it, then control
+# characters, DEL and non-ASCII, then any text
+_JSON_TEXT = (st.text(alphabet='ab /"\\', max_size=4)
+              | st.text(alphabet='a\x00\x08\n\x1f\x7f\u00e9\u2028\U0001f600', max_size=4)
+              | st.text(max_size=6))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | _JSON_TEXT,
+    lambda values: (st.lists(values, max_size=3) | st.lists(values, max_size=3).map(tuple)
+                    | st.dictionaries(_JSON_TEXT, values, max_size=3)),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example({"\\": "a\\b", '"': ['say "x"', "\x7f"]})
+def test_json_renderer_is_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), "", [{}, [], ""], {"": {"a": []}},
+    1.5, [1, 2.5], {"a": {1: "int key"}}, {"a": [float("nan")]}, True, None,
+])
+def test_json_renderer_falls_back_to_json_exactly(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_renderer_raises_as_json_past_the_digit_limit():
+    obj = {"gk1": [10**4400]}
+    with pytest.raises(ValueError) as ours:
+        cli._dumps(obj)
+    with pytest.raises(ValueError) as theirs:
+        json.dumps(obj, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_payload_past_the_digit_limit_writes_nothing(tmp_path, fmt, to_file):
+    # gk1 at (4, 8001) has more digits than an int may convert to str
+    path = tmp_path / "never"
+    out = subprocess.run(CLI + ["frobenius", "--q", "4", "--n", "8001", "--format", fmt]
+                         + (["-o", str(path)] if to_file else []),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    assert not path.exists()
 
 
 def test_regime_choices_are_the_quantum_regimes():

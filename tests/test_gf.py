@@ -6,13 +6,105 @@ import pytest
 from gk2codes.gf import (
     MAX_FIELD_SIZE,
     GfContext,
-    _is_irreducible,
-    _poly_mulmod,
+    _find_generator,
+    _poly_gcd,
+    _poly_trim,
+    _prime_factors,
+    _Ring,
     _smallest_irreducible,
     make_field,
     matrix_rank,
     rank_profile,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles: the former list-polynomial arithmetic over F_p (little-endian
+# coefficient lists), one coefficient product at a time
+# ---------------------------------------------------------------------------
+
+
+def _poly_mulmod(a, b, mod, p):
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    res[i + j] = (res[i + j] + ai * bj) % p
+    return _poly_modred(res, mod, p)
+
+
+def _poly_modred(a, mod, p):
+    a = list(a)
+    dm = len(mod) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for j in range(dm):
+                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+    _poly_trim(a)
+    return a
+
+
+def _poly_powmod(a, e, mod, p):
+    result = [1]
+    base = _poly_modred(a, mod, p)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, base, mod, p)
+        base = _poly_mulmod(base, base, mod, p)
+        e >>= 1
+    return result
+
+
+def _poly_of(p, e):
+    """The trimmed coefficient list of a serialized element."""
+    out = []
+    while e:
+        e, c = divmod(e, p)
+        out.append(c)
+    return out
+
+
+def _int_of(p, poly):
+    return sum(c * p**i for i, c in enumerate(poly))
+
+
+def _poly_is_irreducible(poly, p):
+    """Oracle: the former Rabin test, one list powmod per power of x."""
+    d = len(poly) - 1
+    if d == 1:
+        return True
+    if poly[0] == 0:
+        return False
+    x = [0, 1]
+    xp = _poly_powmod(x, p**d, poly, p)
+    if _poly_trim(list(xp)) != [0, 1]:
+        return False
+    for r in _prime_factors(d):
+        xe = _poly_powmod(x, p ** (d // r), poly, p)
+        diff = list(xe) + [0] * (2 - len(xe))
+        diff[1] = (diff[1] - 1) % p
+        if len(_poly_gcd(poly, diff, p)) > 1:
+            return False
+    return True
+
+
+def _poly_find_generator(p, deg, modulus):
+    """Oracle: the former generator search, one list powmod per candidate and prime."""
+    n = p**deg - 1
+    if n == 1:
+        return 1
+    factors = _prime_factors(n)
+    for cand in range(2, n + 1):
+        cp = _poly_of(p, cand)
+        if all(_int_of(p, _poly_powmod(cp, n // r, list(modulus), p)) != 1 for r in factors):
+            return cand
+    raise AssertionError(f"no generator found for F_{p}^{deg}")
+
+
+_SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 4096]
 
 
 def _gauss_jordan_rank(ctx, rows):
@@ -113,23 +205,22 @@ def _poly_exp_walk_oracle(ctx):
     n = ctx.order - 1
     exp = [0] * (2 * n)
     log = [-1] * ctx.order
-    gp = ctx._poly_of(ctx.generator)
+    p = ctx.p
+    gp = _poly_of(p, ctx.generator)
     cur = [1]
     for i in range(n):
-        v = ctx._int_of(cur)
+        v = _int_of(p, cur)
         exp[i] = exp[i + n] = v
         log[v] = i
-        cur = _poly_mulmod(cur, gp, list(ctx.modulus), ctx.p)
-    assert ctx._int_of(cur) == 1
-    p = ctx.p
+        cur = _poly_mulmod(cur, gp, list(ctx.modulus), p)
+    assert _int_of(p, cur) == 1
     zech = None if p == 2 else [log[e - e % p + (e + 1) % p] for e in islice(exp, n)]
     return exp, log, zech
 
 
 @pytest.mark.parametrize(
     "p,deg",
-    [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 4096]
-    + [(2, 14), (3, 10), (5, 6)],
+    _SMALL_FIELDS + [(2, 14), (3, 10), (5, 6)],
 )
 def test_exp_walk_matches_polynomial_oracle(p, deg):
     f = GfContext(p, deg)
@@ -168,10 +259,10 @@ def test_modulus_is_deterministic_smallest():
 
 
 def _smallest_irreducible_full_scan(p, deg):
-    """Oracle: the former modulus search, over every constant term from 0."""
+    """Oracle: the former modulus search, list Rabin tests over every constant term from 0."""
     for tail in product(range(p), repeat=deg):
         poly = list(tail) + [1]
-        if _is_irreducible(poly, p):
+        if _poly_is_irreducible(poly, p):
             return tuple(poly)
     raise AssertionError(f"no irreducible polynomial of degree {deg} over F_{p}")
 
@@ -190,11 +281,32 @@ def _curve_fields():
     return sorted(out)
 
 
-@pytest.mark.parametrize(
-    "p, deg", _curve_fields() + [(p, d) for p in (2, 3, 5, 7) for d in (1, 2)]
-)
+@pytest.mark.parametrize("p, deg", sorted(set(_curve_fields() + _SMALL_FIELDS)))
 def test_modulus_search_matches_full_scan(p, deg):
     assert _smallest_irreducible(p, deg) == _smallest_irreducible_full_scan(p, deg)
+
+
+@pytest.mark.parametrize("p, deg", sorted(set(_curve_fields() + _SMALL_FIELDS)))
+def test_generator_search_matches_polynomial_oracle(p, deg):
+    modulus = _smallest_irreducible(p, deg)
+    assert _find_generator(_Ring(p, modulus)) == _poly_find_generator(p, deg, modulus)
+
+
+@pytest.mark.parametrize("p, deg", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2), (1021, 2)])
+def test_packed_products_match_polynomial_oracle(p, deg):
+    modulus = _smallest_irreducible(p, deg)
+    ring = _Ring(p, modulus)
+    rng = random.Random(p * 100 + deg)
+    for _ in range(300):
+        a, b = (rng.randrange(p**deg) for _ in range(2))
+        e = rng.randrange(1, 3 * p**deg)
+        pa, pb = (_poly_of(p, v) for v in (a, b))
+        product_ = _poly_mulmod(pa, pb, list(modulus), p) if pa and pb else []
+        assert ring.unpack(ring.mul(ring.from_int(a), ring.from_int(b))) == (
+            product_ + [0] * (deg - len(product_))
+        )
+        power = _poly_powmod(pa, e, list(modulus), p)
+        assert ring.pow(ring.from_int(a), e) == ring.pack(power)
 
 
 def test_generator_order():

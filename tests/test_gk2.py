@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gk2codes import gk2
 from gk2codes.errors import InternalConsistencyError
@@ -341,6 +343,20 @@ def test_frobenius_dimensions():
     assert frobenius_dimension_gk1(p25) == 9
     with pytest.raises(ValueError):
         frobenius_dimension_gk2(curve_params(2, 3))
+
+
+def _frobenius_dimension_gk1_sum(q, n):
+    """Oracle: the former alternating sum, n - 3 powers of q."""
+    return q ** (n - 3) + sum((-1) ** (i + 1) * q**i for i in range(2, n - 1)) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 125, 1024]),
+    n=st.integers(1, 29).map(lambda k: 2 * k + 1),
+)
+def test_frobenius_gk1_closed_form_matches_alternating_sum(q, n):
+    assert frobenius_dimension_gk1(curve_params(q, n)) == _frobenius_dimension_gk1_sum(q, n)
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (2, 7), (3, 5)])
