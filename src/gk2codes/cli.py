@@ -2,8 +2,8 @@
 
 Every subcommand is a thin wrapper over one library operation and writes
 deterministic output (csv, json or md) to stdout or a file.  Exit codes:
-0 success, 1 usage error, 2 internal-consistency failure (a proven identity
-failed at runtime), 3 an evaluation needed local resolution.
+0 success, 1 usage error or out of memory, 2 internal-consistency failure
+(a proven identity failed at runtime), 3 an evaluation needed local resolution.
 """
 
 from __future__ import annotations
@@ -370,14 +370,16 @@ def _cmd_quantum_table(args):
     from . import quantum
 
     params = curve_params(args.q, args.n)
-    sg = orbit_semigroup(params, args.orbit)
+    length = params.rational_point_count - 1
     if args.regime == quantum.REGIME_HIGH_DEGREE:
-        # one or two runs, s_min and the note constant over each: no record is built
+        # one or two runs, s_min and the note constant over each: no record or semigroup
+        "%d" % length  # no cell exceeds N in absolute value: past the digit limit, fail here
         runs = [(count, [*fields[1:5], fields[6]]) for count, fields
                 in quantum._runs(params, None, args.lmin, args.lmax, args.regime)]
     else:
         from . import refdata
 
+        sg = orbit_semigroup(params, args.orbit)
         rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
         notes = None  # no published table: no row has a note
         if refdata.has_reference(params):
@@ -390,7 +392,7 @@ def _cmd_quantum_table(args):
         "n": params.n,
         "orbit": args.orbit,
         "regime": args.regime,
-        "N": params.rational_point_count - 1,
+        "N": length,
     }
     return _table(args.format, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"], runs,
                   text=("discrepancy",))
@@ -505,7 +507,9 @@ def _cmd_verify(args):
             ok = True
             for orbit in ("O1", "O2"):
                 try:  # code_matrix's rank profile, certified on its leading columns
-                    ok &= curve_mod._rank_certificate(params, ctx, orbit, 10) == list(range(1, 11))
+                    base = curve_mod.distinguished_point(params, ctx, orbit)
+                    basis = curve_mod.build_basis(params, orbit, 10)
+                    ok &= curve_mod._rank_certificate(params, ctx, base, basis) == [*range(1, 11)]
                 except InternalConsistencyError:
                     ok = False
             check("rank_staircase_l_le_10", ok)
@@ -616,6 +620,9 @@ def main(argv=None) -> int:
         return EXIT_INCONSISTENT
     except (ValueError, OverflowError) as exc:  # OverflowError: a sieve past the index range
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # an input too large to compute
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

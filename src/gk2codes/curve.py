@@ -25,11 +25,12 @@ x = g^{j + k s} it is lw + k s.  The census counts q+1 points for x = 0 and
 for the ramified group, (q+1)^2 for a w = 0 group, and m per (x, y_i) with
 m | lw + (k + i) s, read from a table over lw mod m that sums the group's
 q+1 x.  `_affine_logs`, the one ordered stream that enumeration and code
-matrices read, expands each group into its q+1 x, sorts them, and expands
-each x into its y_i, sorted, and, where m | lw + (k + i) s (m divides o), the
-logs of the m-th roots z = g^{(lw + (k + i) s)/m + t o/m}, t < m, sorted by
-z; once exhausted it checks the point counts, as `census` does.  The q+1
-points at infinity carry a (q+1)-st root of unity as coordinate.
+matrices read, keeps the walk's records in a table keyed by j = log x mod s
+and runs x over the field in value order, so it sorts no x.  It expands each
+x with points into its y_i, sorted, and, where m | lw + (k + i) s (m divides
+o), the logs of the m-th roots z = g^{(lw + (k + i) s)/m + t o/m}, t < m,
+sorted by z; once exhausted it checks the point counts, as `census` does.
+The q+1 points at infinity carry a (q+1)-st root of unity as coordinate.
 
 An affine point lies in the orbit O2 (all coordinates in F_{q^2}) exactly
 when w = 0.  Off the ramified x, y^{q+1} = x^{q+1} - 1 != 0, so w = 0 iff
@@ -43,7 +44,7 @@ Code matrices evaluate a pole-order basis of the one-point Riemann-Roch
 space at all rational points except the distinguished one, in a fixed order
 (affine points sorted by serialized (x, y, z), then infinite points by
 serialized coordinate), so matrices are bit-identical across runs.  Their
-rank profile can be certified on the leading columns alone
+rank profile is certified on the leading columns alone
 (`_rank_certificate`), which reads the stream only as far as it builds.
 """
 
@@ -131,27 +132,31 @@ def _affine_logs(params: CurveParams, ctx: GfContext):
     q1, m = params.q + 1, params.m
     n = ctx.order - 1
     ystep, zstep = n // q1, n // m
-    exp = ctx._exp
-    by_value = exp.__getitem__
-    xs = []  # (x, lx, ly, lw) per x, lw the log of w at (x, g^ly)
-    for j, ly, lw in _fibers(params, ctx):
-        if j is None:
-            xs.append((0, None, ly, None))
-        else:
-            xs += [(exp[lx], lx, ly, None if lw is None else (lw + lx - j) % n)
-                   for lx in range(j, n, ystep)]
+    by_value = ctx._exp.__getitem__
+    fibers = _fibers(params, ctx)
+    _, ly0, _ = next(fibers)  # x = 0
+    # per group j with points: ly and c = lw - j - ly, so that the log of w
+    # at (g^lx, g^lyi) is c + lx + lyi; None for a group without points
+    groups = [None] * ystep
+    for j, ly, lw in fibers:
+        groups[j] = ly, None if lw is None else lw - j - ly
     o2 = generic = 0
-    for x, lx, ly, lw in sorted(xs):
+    for x, lx in enumerate(ctx._log):  # x in value order
+        if not x:
+            lx, group = None, (ly0, None)
+        elif (group := groups[lx % ystep]) is None:
+            continue
+        ly, c = group
         if ly is None:
             o2 += 1
             yield x, lx, None, None
             continue
         for lyi in sorted(range(ly, n, ystep), key=by_value):
-            if lw is None:
+            if c is None:
                 o2 += 1
                 yield x, lx, lyi, None
                 continue
-            l = (lw - ly + lyi) % n
+            l = (c + lx + lyi) % n
             if l % m == 0:  # m | order - 1: w has m roots or none
                 generic += m
                 yield x, lx, lyi, sorted(range(l // m, n, zstep), key=by_value)
@@ -390,26 +395,19 @@ def code_matrix(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> 
 
     While the count-th pole order rho_count is below N, the first i rows
     evaluate a basis of L(rho_i P) for every i, so the rank profile must be
-    1..count, else InternalConsistencyError.  The check runs on the leading
-    K = 2 count, 4 count, ... columns and stops at the first K whose profile
-    is 1..count, or at K >= N.  That is exact: the rank of the leading i rows
-    restricted to K columns is at most their full rank, which is at most i,
-    so a prefix with profile 1..count proves the full profile, and a failing
-    matrix fails at every K, including K >= N, the full-width check.
-    `_rank_certificate` reads the same profile off rows built only K columns
-    wide.
+    1..count, else InternalConsistencyError.  `_rank_certificate` proves it
+    before any full row is built.
     """
     base = distinguished_point(params, ctx, orbit)
     basis = build_basis(params, orbit, count)
-    matrix = _basis_rows(params, ctx, base, basis)
-    if basis[-1].pole_order < len(matrix[0]):
-        profile = _prefix_rank_profile(ctx, matrix)
+    ncols = params.rational_point_count - 1
+    if basis[-1].pole_order < ncols:
+        profile = _rank_certificate(params, ctx, base, basis)
         if profile != list(range(1, count + 1)):
             raise InternalConsistencyError(
                 f"evaluation matrix rank profile {profile} != 1..{count} for orbit "
-                f"{orbit}, q={params.q}, n={params.n}"
-            )
-    return matrix
+                f"{orbit}, q={params.q}, n={params.n}")
+    return _basis_rows(params, ctx, base, basis, ncols)
 
 
 def _basis_rows(
@@ -417,9 +415,9 @@ def _basis_rows(
     ctx: GfContext,
     base: CurvePoint,
     basis: list[PoleBasisFunction],
-    ncols: int | None = None,
+    ncols: int,
 ) -> list[list[int]]:
-    """The rows of code_matrix on its leading ncols columns, or on all of them.
+    """The rows of code_matrix on its leading ncols columns (all of them at ncols = N).
 
     The stream is read only as far as the ncols-th column, so the num/den
     guard runs on those columns only, and the stream's point-count check only
@@ -458,15 +456,14 @@ def _basis_rows(
             col_z.extend(lzs)
             col_num.extend([lnum] * len(lzs))
             col_den.extend([n - lden] * len(lzs))
-        if ncols is not None and len(col_z) >= ncols:
+        if len(col_z) >= ncols:  # never at ncols = N: q >= 1 infinite points follow
             break
     else:
         for a in ctx.nth_roots(ctx.one, params.q + 1):
             hold(CurvePoint("infinity", None, None, None, a, ORBIT_INFINITE))
-    if ncols is not None:
-        for col in cols:
-            del col[ncols:]
-        special = [(j, pt) for j, pt in special if j < ncols]
+    for col in cols:
+        del col[ncols:]
+    special = [(j, pt) for j, pt in special if j < ncols]
 
     width = 8 * len(col_z)
     log_z, log_num, log_den_inv = (int.from_bytes(col, byteorder) for col in cols)
@@ -485,31 +482,23 @@ def _basis_rows(
     return rows
 
 
-def _rank_certificate(params: CurveParams, ctx: GfContext, orbit: str, count: int) -> list[int]:
-    """The rank profile of code_matrix(params, ctx, orbit, count), from rows only as wide as needed.
+def _rank_certificate(params: CurveParams, ctx: GfContext, base: CurvePoint,
+                      basis: list[PoleBasisFunction]) -> list[int]:
+    """The rank profile of the basis rows at the N points other than base.
 
-    The rows are built on the same leading K columns that _prefix_rank_profile
-    tries, K = 2 count, 4 count, ... up to N, so a profile 1..count is read
-    off the first K that proves it, with no full-width row built.
+    The rows are built only on the leading K = 2 count, 4 count, ...
+    columns, and the first K whose profile is 1..count ends the search; the
+    last K is N.  That is exact: the rank of the leading i rows restricted
+    to K columns is at most their full rank, which is at most i, so a prefix
+    with profile 1..count proves the full profile, and rows whose full
+    profile is not 1..count fail at every K, so theirs is read at K = N.
     """
-    base = distinguished_point(params, ctx, orbit)
-    basis = build_basis(params, orbit, count)
-    ncols = params.rational_point_count - 1
-    return _certified_profile(ctx, count, ncols, lambda k: _basis_rows(params, ctx, base, basis, k))
-
-
-def _prefix_rank_profile(ctx: GfContext, rows: list[list[int]]) -> list[int]:
-    """rank_profile(ctx, rows), read off the fewest leading columns that prove it."""
-    ncols = len(rows[0]) if rows else 0
-    return _certified_profile(ctx, len(rows), ncols, lambda k: [row[:k] for row in rows])
+    return _certified_profile(ctx, len(basis), params.rational_point_count - 1,
+                              lambda k: _basis_rows(params, ctx, base, basis, k))
 
 
 def _certified_profile(ctx: GfContext, count: int, ncols: int, leading) -> list[int]:
-    """The rank profile of count rows of width ncols, from leading(K), the rows on K columns.
-
-    Tries K = 2 count, 4 count, ... and returns the first profile that is
-    1..count; otherwise the full-width profile (K = ncols).
-    """
+    """`_rank_certificate`'s profile of count rows of width ncols, leading(K) the rows on K columns."""
     full = list(range(1, count + 1))
     k = 2 * count
     while True:

@@ -1174,6 +1174,42 @@ def test_sieve_past_the_index_range_is_a_one_line_usage_error(argv):
     assert out.stdout == ""
 
 
+def test_high_degree_table_needs_no_sieve(capsys):
+    # the same (q, n) as above: the closed-form rows read no semigroup
+    params = curve_params(1000003, 3)
+    g, length = params.genus, params.rational_point_count - 1
+    argv = ["quantum-table", "--q", "1000003", "--n", "3", "--orbit", "O1", "--regime",
+            "high-degree", "--lmin", str(3 * g - 1), "--lmax", str(3 * g + 1), "--format", "csv"]
+    want = "l,d_ord,s_min,s_max,discrepancy\n" + "".join(
+        f"{l},{l + 1 - g},1,{length - 2 * l},\n" for l in range(3 * g - 1, 3 * g + 2))
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_high_degree_table_past_the_digit_limit_writes_nothing(tmp_path, fmt, to_file):
+    # N at (4, 8001) has more digits than an int may convert to str, and so
+    # has every l of the regime; the table fails before its header
+    path = tmp_path / "never"
+    out = subprocess.run(CLI + ["quantum-table", "--q", "4", "--n", "8001", "--orbit", "O1",
+                                "--regime", "high-degree", "--format", fmt]
+                         + (["-o", str(path)] if to_file else []),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    assert not path.exists()
+
+
+def test_memory_error_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "semigroup", exhausted)
+    assert run_cli(capsys, "semigroup", "--q", "2", "--n", "3", "--orbit", "O1") == (
+        1, "", "error: out of memory\n")
+
+
 def test_closed_stdout_is_a_one_line_error():
     out = subprocess.run(
         CLI + ["semigroup", "--q", "2", "--n", "3", "--orbit", "O1"],

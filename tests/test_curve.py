@@ -1,10 +1,11 @@
 """Rational points, pole bases and code matrices.
 
-The point walk is checked against two former implementations, kept here as
+The point walk is checked against three former implementations, kept here as
 oracles: the first walked x -> y-fiber -> z-fiber separately for enumeration
 and census and tagged O2 by testing every coordinate for membership in
 F_{q^2}; the second was one per-x walk with field-method arithmetic that
-yielded one record per y.  Basis evaluation is checked the same way against
+yielded one record per y; the third was the log stream that sorted every x
+before its first record.  Basis evaluation is checked the same way against
 its former form, one branch per orbit.  The code matrix, whose columns are
 read off the ordered log stream, is checked against its two former forms, one
 eval_basis call per entry and one point record per column, and its
@@ -36,7 +37,7 @@ from gk2codes.curve import (
     small_field_elements,
     write_matrix,
 )
-from gk2codes.curve import _basis_rows, _num_den, _prefix_rank_profile, _rank_certificate
+from gk2codes.curve import _basis_rows, _certified_profile, _num_den, _rank_certificate
 from gk2codes.errors import (
     InternalConsistencyError,
     NeedsLocalResolutionError,
@@ -172,6 +173,48 @@ def _xy_census_oracle(params, ctx):
             generic += m
     o1 = len(ctx.nth_roots(ctx.one, params.q + 1))
     return PointCensus(total=o1 + o2 + generic, o1=o1, o2=o2, generic=generic)
+
+
+def _sorted_affine_logs_oracle(params, ctx):
+    """Oracle: the former ordered stream, which expanded every group into its
+    q+1 x and sorted all of them before its first record."""
+    q1, m = params.q + 1, params.m
+    n = ctx.order - 1
+    ystep, zstep = n // q1, n // m
+    exp = ctx._exp
+    by_value = exp.__getitem__
+    xs = []  # (x, lx, ly, lw) per x, lw the log of w at (x, g^ly)
+    for j, ly, lw in curve_mod._fibers(params, ctx):
+        if j is None:
+            xs.append((0, None, ly, None))
+        else:
+            xs += [(exp[lx], lx, ly, None if lw is None else (lw + lx - j) % n)
+                   for lx in range(j, n, ystep)]
+    o2 = generic = 0
+    for x, lx, ly, lw in sorted(xs):
+        if ly is None:
+            o2 += 1
+            yield x, lx, None, None
+            continue
+        for lyi in sorted(range(ly, n, ystep), key=by_value):
+            if lw is None:
+                o2 += 1
+                yield x, lx, lyi, None
+                continue
+            l = (lw - ly + lyi) % n
+            if l % m == 0:
+                generic += m
+                yield x, lx, lyi, sorted(range(l // m, n, zstep), key=by_value)
+    o1 = len(ctx.nth_roots(ctx.one, q1))
+    curve_mod._check_census(params, PointCensus(o1 + o2 + generic, o1, o2, generic))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (2, 5), (4, 3), (5, 3), (3, 5), (2, 7)])
+def test_value_order_stream_matches_sorted_oracle(q, n):
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    want = list(_sorted_affine_logs_oracle(params, ctx))
+    assert list(curve_mod._affine_logs(params, ctx)) == want
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (4, 3)])
@@ -409,6 +452,18 @@ def test_rank_staircase_small(p23, ctx23):
             prev = r
 
 
+def _prefix_rank_profile(ctx, rows):
+    """rank_profile(ctx, rows), read off the fewest leading column slices that prove it."""
+    ncols = len(rows[0]) if rows else 0
+    return _certified_profile(ctx, len(rows), ncols, lambda k: [row[:k] for row in rows])
+
+
+def _certificate(params, ctx, orbit, count):
+    """_rank_certificate on the base point and basis that code_matrix builds."""
+    base = distinguished_point(params, ctx, orbit)
+    return _rank_certificate(params, ctx, base, curve_mod.build_basis(params, orbit, count))
+
+
 def _per_entry_matrix_oracle(params, ctx, orbit, count):
     """Oracle: the former code matrix, one eval_basis call per entry."""
     base = distinguished_point(params, ctx, orbit)
@@ -480,27 +535,37 @@ def test_walk_matrix_matches_per_point_oracle(q, n, orbit, l):
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("orbit", ["O1", "O2"])
 def test_code_matrix_evaluates_only_special_points(monkeypatch, q, n, orbit):
-    # the q^3 points with z = 0 or at infinity, less the base point, per row;
-    # the matrix is read off the ordered log stream, with no point list built
+    # the q^3 points with z = 0 or at infinity, less the base point, per row,
+    # and those among the leading K columns of each certificate width K; the
+    # matrix is read off the ordered log stream, with no point list built
     params = curve_params(q, n)
     ctx = field_context(params)
     l = 10
     want = _per_entry_matrix_oracle(params, ctx, orbit, l)
-    calls = []
-    real = curve_mod.eval_basis
+    points = evaluation_points(params, ctx, orbit)
+    calls, widths = [], []
+    real, real_rank_profile = curve_mod.eval_basis, curve_mod.rank_profile
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return real(*args, **kwargs)
 
+    def counted(ctx, rows):
+        widths.append(len(rows[0]))
+        return real_rank_profile(ctx, rows)
+
     def unused(*args):
         raise AssertionError("a point list was built")
 
     monkeypatch.setattr(curve_mod, "eval_basis", counting)
+    monkeypatch.setattr(curve_mod, "rank_profile", counted)
     for name in ("iter_points", "enumerate_points", "evaluation_points"):
         monkeypatch.setattr(curve_mod, name, unused)
     assert code_matrix(params, ctx, orbit, l) == want
-    assert len(calls) == l * q**3
+    certified = sum(pt.kind == "infinity" or pt.z == 0 for k in widths for pt in points[:k])
+    assert len(calls) == l * certified + l * q**3
+    if orbit == "O1":  # (3, 3) widens from 20 to 40 columns
+        assert (widths, l * certified) == {2: ([20], 40), 3: ([20, 40], 120)}[q]
     assert all(pt.kind == "infinity" or pt.z == 0 for pt in calls)
 
 
@@ -581,7 +646,7 @@ def test_rank_certificate_matches_full_rows(q, n, orbit):
     ctx = field_context(params)
     for count in (1, 2, 5, 10):
         full = rank_profile(ctx, code_matrix(params, ctx, orbit, count))
-        assert _rank_certificate(params, ctx, orbit, count) == full == list(range(1, count + 1))
+        assert _certificate(params, ctx, orbit, count) == full == list(range(1, count + 1))
 
 
 @pytest.mark.parametrize("orbit", ["O1", "O2"])
@@ -593,14 +658,13 @@ def test_prefix_rows_are_the_leading_columns_of_code_matrix(p23, ctx23, orbit):
     basis = build_basis(p23, orbit, 10)
     for k in (1, 7, 20, 101, 223, 224):
         assert _basis_rows(p23, ctx23, base, basis, k) == [row[:k] for row in full]
-    assert _basis_rows(p23, ctx23, base, basis) == full
 
 
 def test_rank_certificate_stops_reading_at_its_prefix(p23, ctx23):
     # with a wrong point count the stream's check fails once exhausted; the
     # certificate's first prefix, 2 count columns, proves 1..count before that
     wrong = p23._replace(rational_point_count=p23.rational_point_count + 1)
-    assert _rank_certificate(wrong, ctx23, "O1", 10) == list(range(1, 11))
+    assert _certificate(wrong, ctx23, "O1", 10) == list(range(1, 11))
     with pytest.raises(InternalConsistencyError, match=r"^point count 225 != maximality count 226"):
         code_matrix(wrong, ctx23, "O1", 10)
 
@@ -626,7 +690,7 @@ def test_rank_certificate_of_a_dependent_row_is_the_full_width_profile(monkeypat
         return real_rank_profile(ctx, rows)
 
     monkeypatch.setattr(curve_mod, "rank_profile", counted)
-    assert _rank_certificate(p23, ctx23, "O2", 10) == list(range(1, 10)) + [9]
+    assert _certificate(p23, ctx23, "O2", 10) == list(range(1, 10)) + [9]
     assert widths == [20, 40, 80, 160, 224]
 
 
