@@ -24,7 +24,6 @@ from .gk2 import (
     frobenius_dimension_gk1,
     frobenius_dimension_gk2,
     frobenius_dimensions_differ,
-    holomorphic_gap_set,
     orbit_semigroup,
     semigroup_o1,
     semigroup_o2,
@@ -136,6 +135,16 @@ def _parse(argv):
 def _require_curve_scale(q: int):
     if q > MAX_CURVE_Q:
         raise UsageError(f"curve subcommands support q <= {MAX_CURVE_Q}, got {q}")
+
+
+def _require_printable(name, value, params):
+    """Render value, the largest of a payload, before any write; name it past the digit limit."""
+    try:
+        "%d" % value
+    except ValueError:
+        raise UsageError(f"{name} at q={params.q}, n={params.n} has more than "
+                         f"{sys.get_int_max_str_digits()} digits, the limit on int to str "
+                         "conversion") from None
 
 
 # -- renderers ---------------------------------------------------------------
@@ -373,7 +382,7 @@ def _cmd_quantum_table(args):
     length = params.rational_point_count - 1
     if args.regime == quantum.REGIME_HIGH_DEGREE:
         # one or two runs, s_min and the note constant over each: no record or semigroup
-        "%d" % length  # no cell exceeds N in absolute value: past the digit limit, fail here
+        _require_printable("N", length, params)  # no cell exceeds N in absolute value
         runs = [(count, [*fields[1:5], fields[6]]) for count, fields
                 in quantum._runs(params, None, args.lmin, args.lmax, args.regime)]
     else:
@@ -401,12 +410,14 @@ def _cmd_quantum_table(args):
 def _cmd_frobenius(args):
     params = curve_params(args.q, args.n)
     differ = frobenius_dimensions_differ(args.q, args.n)
+    gk1 = frobenius_dimension_gk1(params)
+    _require_printable("gk1", gk1, params)  # the largest payload value
     payload = {
         "command": "frobenius",
         "q": params.q,
         "n": params.n,
         "gk2": None if params.n < 5 else frobenius_dimension_gk2(params),
-        "gk1": frobenius_dimension_gk1(params),
+        "gk1": gk1,
         "isomorphic": "not-applicable" if differ is None else (not differ),
     }
     return _payload(args.format, payload)
@@ -470,8 +481,8 @@ def _cmd_verify(args):
     else:
         check("symmetric_at_n3", not nonsym, "telescopic orbit semigroup at n = 3")
 
-    gaps = holomorphic_gap_set(params)  # asserts size and complement equality
-    check("differential_gap_set", len(gaps) == params.genus, f"|L| = {len(gaps)}")
+    n_gaps = _holomorphic_gap_indicator(params).count(1)  # asserts size and complement equality
+    check("differential_gap_set", n_gaps == params.genus, f"|L| = {n_gaps}")
 
     # verify_partition reports the genus of its sieve of this same sequence
     rep = verify_partition(params)

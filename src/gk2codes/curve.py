@@ -252,8 +252,7 @@ class PoleBasisFunction(NamedTuple):
 
 def generator_pole_orders(params: CurveParams, orbit: str) -> tuple[int, ...]:
     if orbit == ORBIT_INFINITE:
-        gens = o1_generators(params)  # mq + i(q^2-q) ascending, then q^n+1
-        return gens
+        return o1_generators(params)  # mq + i(q^2-q) ascending, then q^n+1
     if orbit == ORBIT_SMALL_AFFINE:
         q, m, s = params.q, params.m, params.s
         return tuple(q**params.n + 1 - k for k in range(s + 1)) + (m * q,)

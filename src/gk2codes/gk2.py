@@ -14,6 +14,7 @@ InternalConsistencyError immediately.
 from __future__ import annotations
 
 from itertools import chain, compress
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -24,16 +25,8 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p**e, p prime; reject non prime powers."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    m = q
-    p = None
-    for cand in range(2, q + 1):
-        if cand * cand > m and p is None:
-            p = m
-            break
-        if m % cand == 0:
-            p = cand
-            break
-    e = 0
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    m, e = q, 0
     while m % p == 0:
         m //= p
         e += 1
@@ -106,37 +99,28 @@ def o2_generators(params: CurveParams) -> tuple[int, ...]:
     return tuple(sorted(gens))
 
 
-def _checked(sg: NumericalSemigroup, params: CurveParams, label: str) -> NumericalSemigroup:
-    if sg.genus != params.genus:
-        raise InternalConsistencyError(
-            f"{label} genus {sg.genus} != curve genus {params.genus} for "
-            f"q={params.q}, n={params.n}"
-        )
-    return sg
-
-
 def semigroup_o1(params: CurveParams) -> NumericalSemigroup:
     """Weierstrass semigroup at the q+1 infinite points."""
-    sg = NumericalSemigroup.from_generators(
-        o1_generators(params), conductor_hint=2 * params.genus
-    )
-    return _checked(sg, params, "O1")
+    return orbit_semigroup(params, "O1")
 
 
 def semigroup_o2(params: CurveParams) -> NumericalSemigroup:
     """Weierstrass semigroup at the q^3 - q small-field affine points."""
-    sg = NumericalSemigroup.from_generators(
-        o2_generators(params), conductor_hint=2 * params.genus
-    )
-    return _checked(sg, params, "O2")
+    return orbit_semigroup(params, "O2")
 
 
 def orbit_semigroup(params: CurveParams, orbit: str) -> NumericalSemigroup:
-    if orbit == "O1":
-        return semigroup_o1(params)
-    if orbit == "O2":
-        return semigroup_o2(params)
-    raise ValueError(f"orbit must be 'O1' or 'O2', got {orbit!r}")
+    """The orbit's semigroup, sieved from its generators; its genus must be the curve's."""
+    if orbit not in ("O1", "O2"):
+        raise ValueError(f"orbit must be 'O1' or 'O2', got {orbit!r}")
+    gens = o1_generators(params) if orbit == "O1" else o2_generators(params)
+    sg = NumericalSemigroup.from_generators(gens, conductor_hint=2 * params.genus)
+    if sg.genus != params.genus:
+        raise InternalConsistencyError(
+            f"{orbit} genus {sg.genus} != curve genus {params.genus} for "
+            f"q={params.q}, n={params.n}"
+        )
+    return sg
 
 
 def k_max(params: CurveParams, j_plus_l: int) -> int:

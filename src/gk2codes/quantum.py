@@ -10,8 +10,8 @@ Two regimes, split by how the minimum-distance floor is obtained:
 Both regimes take one path: _window is the one place the regime intervals
 are written, _runs gives a window's rows as runs of fields (the one place
 the high-degree split is written; the CLI writes high-degree tables straight
-from them), and _rows zips them into the records that quantum_table and the
-one-row forms range_* return.
+from them), and quantum_table zips them into records.  The one-row forms
+range_* return the one record of a one-index quantum_table.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class QuantumRange(NamedTuple):
 def range_high_degree(params: CurveParams, index: int) -> QuantumRange:
     """Genus-floor regime: l in [3g-1, N-g], s in [1, N-2l], D >= l+1-g."""
     index = operator.index(index)  # _window would read None as the regime's end
-    return _rows(params, None, index, index, REGIME_HIGH_DEGREE)[0]
+    return quantum_table(params, None, index, index, REGIME_HIGH_DEGREE)[0]
 
 
 def range_order_bound(
@@ -65,7 +65,7 @@ def range_order_bound(
     s_min = max(2g-l, 1); s_max = min(N-2l, N-l-g+1-d_ord); D >= d_ord.
     """
     index = operator.index(index)  # _window would read None as the regime's end
-    return _rows(params, semigroup, index, index, REGIME_ORDER_BOUND)[0]
+    return quantum_table(params, semigroup, index, index, REGIME_ORDER_BOUND)[0]
 
 
 def _window(
@@ -114,11 +114,17 @@ def _runs(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int 
     return [(len(index), (length, index, d, s_min, s_max, regime, None))]
 
 
-def _rows(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int | None,
-          l_max: int | None, regime: str) -> list[QuantumRange]:
-    """The ranges of the window's runs, each constant field repeated over its run.
+def quantum_table(
+    params: CurveParams,
+    semigroup: NumericalSemigroup | None,
+    l_min: int | None = None,
+    l_max: int | None = None,
+    regime: str = REGIME_ORDER_BOUND,
+) -> list[QuantumRange]:
+    """Ranges for consecutive l; defaults to the full regime interval.
 
-    The records are made by ``tuple.__new__``, with no Python call per record.
+    Each run's constant fields are repeated over it, and the records are
+    made by ``tuple.__new__``, with no Python call per record.
     """
     rows = []
     for count, fields in _runs(params, semigroup, l_min, l_max, regime):
@@ -126,14 +132,3 @@ def _rows(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int 
                    for f in fields)
         rows += map(tuple.__new__, repeat(QuantumRange), zip(*columns))
     return rows
-
-
-def quantum_table(
-    params: CurveParams,
-    semigroup: NumericalSemigroup,
-    l_min: int | None = None,
-    l_max: int | None = None,
-    regime: str = REGIME_ORDER_BOUND,
-) -> list[QuantumRange]:
-    """Ranges for consecutive l; defaults to the full regime interval."""
-    return _rows(params, semigroup, l_min, l_max, regime)

@@ -92,6 +92,7 @@ class NumericalSemigroup:
     (fengrao.py) are built on first read.  Equality goes by (generators,
     conductor, sieve), which fixes the five fields repr names; the hash by
     (generators, conductor), as the sieve is the bytearray the closure built.
+    A sieve passed as bytes is held as a bytearray copy.
     """
 
     _FIELDS = ("generators", "conductor", "genus", "gaps", "nongaps_cached")
@@ -103,7 +104,7 @@ class NumericalSemigroup:
         init(self, "generators", generators)
         init(self, "conductor", conductor)
         init(self, "genus", sieve.count(0, 0, conductor))
-        init(self, "_sieve", sieve)
+        init(self, "_sieve", sieve if isinstance(sieve, bytearray) else bytearray(sieve))
         for slot in ("_gaps", "_nongaps", "_feng_rao_profile"):
             init(self, slot, None)
 
@@ -125,9 +126,11 @@ class NumericalSemigroup:
             object.__setattr__(self, "_nongaps", tuple(compress(count(), self._sieve)))
         return self._nongaps
 
-    def _gap_indicator(self) -> bytes:
-        """1 for a gap, 0 for a nongap, on [0, conductor)."""
-        return self._sieve[:self.conductor].translate(_FLIP_BITS)
+    def _gap_indicator(self) -> bytearray:
+        """1 for a gap, 0 for a nongap, on [0, conductor): one copy of the sieve, cut in place."""
+        out = self._sieve.translate(_FLIP_BITS)
+        del out[self.conductor:]
+        return out
 
     def _key(self):
         return self.generators, self.conductor, self._sieve

@@ -242,6 +242,18 @@ def test_table_and_verify_golden_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[argv]
 
 
+def test_verify_reads_the_gap_count_off_the_checked_indicator(capsys, monkeypatch):
+    # |L| comes from the indicator whose size and complement checks ran: no
+    # tuple of g gap ints is built
+    def no_gap_tuple(params):
+        raise AssertionError("verify built the holomorphic gap tuple")
+
+    monkeypatch.setattr(gk2, "holomorphic_gap_set", no_gap_tuple)
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256["verify --q 2 --n 5"]
+
+
 @pytest.mark.parametrize("l", ["225", "100000"])
 def test_code_matrix_rows_beyond_code_length_rejected_fast(l):
     # N = 224 at (2, 3); the bound is checked before the field is built
@@ -418,6 +430,7 @@ def test_payload_past_the_digit_limit_writes_nothing(tmp_path, fmt, to_file):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    assert "q=4, n=8001" in out.stderr and "set_int_max_str_digits" not in out.stderr
     assert not path.exists()
 
 
@@ -823,7 +836,6 @@ def test_gaps_o2_streams_off_the_checked_bytes(capsys, monkeypatch, fmt):
         raise AssertionError("holomorphic_gap_set called")
 
     monkeypatch.setattr(gk2, "holomorphic_gap_set", unbuilt)
-    monkeypatch.setattr(cli, "holomorphic_gap_set", unbuilt)
     code, out, err = run_cli(capsys, "gaps", "--q", "2", "--n", "5", "--orbit", "O2",
                              "--format", fmt)
     assert (code, err, out) == (0, "", want)
@@ -1002,7 +1014,7 @@ def test_high_degree_cli_builds_no_records(capsys, monkeypatch):
     def no_records(*args):
         raise AssertionError("the high-degree CLI path built QuantumRange records")
 
-    monkeypatch.setattr(quantum, "_rows", no_records)
+    monkeypatch.setattr(quantum, "quantum_table", no_records)
     monkeypatch.setattr(quantum, "range_high_degree", no_records)
     assert run_cli(capsys, *argv) == (0, want, "")
 
@@ -1198,6 +1210,7 @@ def test_high_degree_table_past_the_digit_limit_writes_nothing(tmp_path, fmt, to
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+    assert "q=4, n=8001" in out.stderr and "set_int_max_str_digits" not in out.stderr
     assert not path.exists()
 
 

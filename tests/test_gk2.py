@@ -15,6 +15,7 @@ from gk2codes.gk2 import (
     k_max,
     o1_generators,
     o2_generators,
+    orbit_semigroup,
     prime_power_decompose,
     semigroup_o1,
     semigroup_o2,
@@ -33,6 +34,42 @@ def test_prime_power_decompose():
     for bad in (1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power_decompose(bad)
+
+
+def _prime_power_decompose_oracle(q):
+    """The trial-division loop prime_power_decompose ran before it took
+    the least prime factor in one expression."""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    m = q
+    p = None
+    for cand in range(2, q + 1):
+        if cand * cand > m and p is None:
+            p = m
+            break
+        if m % cand == 0:
+            p = cand
+            break
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p, e
+
+
+def _decomposition(fn, q):
+    try:
+        return fn(q)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_prime_power_decompose_matches_the_loop_oracle():
+    for q in [*range(-5, 20_001), 1_000_003, 2**31 - 1, 3**19, 2**40]:
+        assert (_decomposition(prime_power_decompose, q)
+                == _decomposition(_prime_power_decompose_oracle, q)), q
 
 
 def test_params_q2_n5():
@@ -198,6 +235,33 @@ def test_genus_mismatch_raises():
     )
     with pytest.raises(InternalConsistencyError):
         semigroup_o1(bad)
+
+
+@pytest.mark.parametrize("build, orbit", [
+    (semigroup_o1, "O1"),
+    (semigroup_o2, "O2"),
+    (lambda params: orbit_semigroup(params, "O1"), "O1"),
+    (lambda params: orbit_semigroup(params, "O2"), "O2"),
+])
+def test_orbit_genus_mismatch_is_one_sieve_and_names_the_curve(monkeypatch, build, orbit):
+    bad = curve_params(2, 3)._replace(genus=11)  # the orbit semigroups have genus 10
+    sieve = NumericalSemigroup.from_generators.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return sieve(cls, *args, **kwargs)
+
+    monkeypatch.setattr(NumericalSemigroup, "from_generators", classmethod(counted))
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"^{orbit} genus 10 != curve genus 11 for q=2, n=3$"):
+        build(bad)
+    assert len(calls) == 1
+
+
+def test_orbit_semigroup_rejects_an_unknown_orbit():
+    with pytest.raises(ValueError, match=r"^orbit must be 'O1' or 'O2', got 'O3'$"):
+        orbit_semigroup(curve_params(2, 3), "O3")
 
 
 def test_k_max_values():

@@ -309,6 +309,20 @@ def test_closure_peak_memory_stays_near_the_table(generators):
     assert peak < 1.1 * (bound + 1)
 
 
+def test_gap_indicator_peak_memory_stays_near_the_sieve():
+    # one translated copy of the sieve, cut to the conductor in place; a
+    # slice and its translation held two conductor-length copies at once
+    sg = NumericalSemigroup.from_generators((1000, 1001))  # conductor 999 000
+    tracemalloc.start()
+    try:
+        gaps = sg._gap_indicator()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gaps == sg._sieve[:sg.conductor].translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))
+    assert peak < 1.5 * len(sg._sieve)
+
+
 def test_from_generators_keeps_the_table_the_closure_built(monkeypatch):
     # the sieve is the table the closure wrote, not a copy of it
     built = []
@@ -318,6 +332,7 @@ def test_from_generators_keeps_the_table_the_closure_built(monkeypatch):
     assert sg._sieve is built[-1]
     twin = NumericalSemigroup(sg.generators, sg.conductor, bytes(sg._sieve))
     assert twin == sg and hash(twin) == hash(sg)
+    assert twin.gaps == sg.gaps and twin._gap_indicator() == sg._gap_indicator()
 
 
 generator_sets = st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
