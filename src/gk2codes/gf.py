@@ -17,8 +17,8 @@ Before the tables exist, products in F_p[t]/(f) run on packed integers
 int, so one integer product multiplies two polynomials, a Barrett quotient
 by f takes two more, and a slot-wise division by p, itself one product,
 shift and mask, reduces the coefficients after each.  The modulus search
-(a Rabin test per candidate) and the generator search (c^{(order-1)/r} != 1
-for each prime r) run on it.
+(a Rabin test per candidate, coprimality checked as a unit power) and the
+generator search (c^{(order-1)/r} != 1 for each prime r) run on it.
 
 The exp table is one walk v -> g v.  Multiplying by g is F_p-linear, so g v
 is the digit-wise sum mod p of the images of v's low and high halves of
@@ -43,7 +43,7 @@ _FIELD_CACHE: dict[tuple[int, int], "GfContext"] = {}
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p: packed products, and a gcd on little-endian lists
+# polynomials over F_p: packed products, powers and unit tests
 # ---------------------------------------------------------------------------
 
 
@@ -115,35 +115,6 @@ class _Ring:
         return r
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    _poly_trim(a)
-    _poly_trim(b)
-    while b:
-        # a mod b with b made monic
-        inv_lead = pow(b[-1], -1, p)
-        bm = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        while len(r) >= len(bm) and any(r):
-            c = r[-1]
-            if c:
-                off = len(r) - len(bm)
-                for j, bj in enumerate(bm):
-                    r[off + j] = (r[off + j] - c * bj) % p
-            _poly_trim(r)
-            if not r:
-                break
-        a, b = b, r
-        _poly_trim(b)
-    return a
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -159,12 +130,14 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_irreducible(poly, p):
-    """Rabin test: x^{p^d} = x mod f and gcd(x^{p^{d/r}} - x, f) = 1."""
+    """Rabin test: x^{p^d} = x mod f, and x^{p^{d/r}} - x is a unit mod f.
+
+    Once f | x^{p^d} - x, F_p[t]/(f) is a product of fields F_{p^e}, e | d,
+    so a is a unit iff a^{p^d - 1} = 1.  At d = 1, x is no packed residue.
+    """
     d = len(poly) - 1
     if d == 1:
         return True
-    if poly[0] == 0:  # divisible by x
-        return False
     ring = _Ring(p, poly)
     frobenius = [ring.pack([0, 1])]  # x^{p^k} for k = 0..d
     for _ in range(d):
@@ -172,9 +145,8 @@ def _is_irreducible(poly, p):
     if frobenius[d] != frobenius[0]:
         return False
     for r in _prime_factors(d):
-        diff = ring.unpack(frobenius[d // r])
-        diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(poly, diff, p)) > 1:
+        a = ring._mod_p(frobenius[d // r] + (p - 1) * frobenius[0])
+        if ring.pow(a, p**d - 1) != 1:
             return False
     return True
 

@@ -854,7 +854,6 @@ def test_verify_closes_the_telescopic_sequence_once(capsys, monkeypatch):
         return real(generators, bound)
 
     monkeypatch.setattr(semigroup, "closure_table", counted)
-    monkeypatch.setattr(gk2, "closure_table", counted, raising=False)
     assert run_cli(capsys, "verify", "--q", "2", "--n", "5")[0] == 0
     assert closed.count(seq) == 1
 

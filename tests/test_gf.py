@@ -7,8 +7,7 @@ from gk2codes.gf import (
     MAX_FIELD_SIZE,
     GfContext,
     _find_generator,
-    _poly_gcd,
-    _poly_trim,
+    _is_irreducible,
     _prime_factors,
     _Ring,
     _smallest_irreducible,
@@ -22,6 +21,35 @@ from gk2codes.gf import (
 # oracles: the former list-polynomial arithmetic over F_p (little-endian
 # coefficient lists), one coefficient product at a time
 # ---------------------------------------------------------------------------
+
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_gcd(a, b, p):
+    a, b = list(a), list(b)
+    _poly_trim(a)
+    _poly_trim(b)
+    while b:
+        # a mod b with b made monic
+        inv_lead = pow(b[-1], -1, p)
+        bm = [(c * inv_lead) % p for c in b]
+        r = list(a)
+        while len(r) >= len(bm) and any(r):
+            c = r[-1]
+            if c:
+                off = len(r) - len(bm)
+                for j, bj in enumerate(bm):
+                    r[off + j] = (r[off + j] - c * bj) % p
+            _poly_trim(r)
+            if not r:
+                break
+        a, b = b, r
+        _poly_trim(b)
+    return a
 
 
 def _poly_mulmod(a, b, mod, p):
@@ -265,6 +293,44 @@ def _smallest_irreducible_full_scan(p, deg):
         if _poly_is_irreducible(poly, p):
             return tuple(poly)
     raise AssertionError(f"no irreducible polynomial of degree {deg} over F_{p}")
+
+
+def _monic_polys(p, deg):
+    for tail in product(range(p), repeat=deg):
+        yield list(tail) + [1]
+
+
+def _gauss_count(p, deg):
+    """Gauss's count of monic irreducibles: (1/deg) sum_{k | deg} mu(k) p^{deg/k}."""
+    total = 0
+    for k in range(1, deg + 1):
+        if deg % k == 0:
+            factors = _prime_factors(k)
+            if all(k % (r * r) for r in factors):
+                total += (-1) ** len(factors) * p ** (deg // k)
+    return total // deg
+
+
+_RABIN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize(
+    "p, deg", [(p, d) for p in _RABIN_PRIMES for d in range(2, 11) if p**d <= 1024]
+)
+def test_is_irreducible_matches_list_oracle_exhaustive(p, deg):
+    verdicts = [_is_irreducible(poly, p) for poly in _monic_polys(p, deg)]
+    assert verdicts == [_poly_is_irreducible(poly, p) for poly in _monic_polys(p, deg)]
+    assert sum(verdicts) == _gauss_count(p, deg)
+
+
+def test_is_irreducible_rejects_split_frobenius_fixed_product():
+    # (x + 1)(x^2 + x + 1)(x^3 + x + 1) over F_2: every factor's degree divides
+    # 6, so x^{2^6} = x mod f holds, and only the coprimality condition fails
+    poly = [1, 1, 0, 0, 1, 0, 1]
+    ring = _Ring(2, poly)
+    x = ring.pack([0, 1])
+    assert ring.pow(x, 2**6) == x
+    assert not _is_irreducible(poly, 2)
 
 
 def _curve_fields():
