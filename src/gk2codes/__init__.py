@@ -10,8 +10,9 @@ ranks confirm the semigroup data.
 __version__ = "0.1.0"
 
 # Public name -> defining submodule.  A submodule is imported the first time
-# one of its names is read (PEP 562), so `import gk2codes.cli` and each CLI
-# subcommand load only the modules they run.
+# one of its names is read (PEP 562), so `import gk2codes.cli` loads only the
+# entry module and errors, and each CLI subcommand its own command module and
+# the modules it runs.
 _SUBMODULE = {
     name: module
     for module, names in {

@@ -1,0 +1,41 @@
+"""The CLI's curve subcommands: points and code-matrix, over the curve's field.
+
+The payload renderer is imported by points alone: code-matrix writes its
+matrix with curve.write_matrix.
+"""
+
+from . import curve
+from .errors import UsageError, _require_curve_scale
+from .gk2 import curve_params
+
+
+def _cmd_points(args):
+    from ._render import _payload
+
+    _require_curve_scale(args.q)
+    params = curve_params(args.q, args.n)
+    ctx = curve.field_context(params)
+    c = curve.census(params, ctx)
+    payload = {
+        "command": "points",
+        "q": params.q,
+        "n": params.n,
+        "field": {"p": ctx.p, "deg": ctx.deg, "order": ctx.order},
+        "count": c.total,
+        "orbit_sizes": {"O1": c.o1, "O2": c.o2, "generic": c.generic},
+        "maximality_count": params.rational_point_count,
+    }
+    return _payload(args.format, payload)
+
+
+def _cmd_code_matrix(args):
+    _require_curve_scale(args.q)
+    params = curve_params(args.q, args.n)
+    if args.l < 1:
+        raise UsageError(f"--l must be >= 1, got {args.l}")
+    n_support = params.rational_point_count - 1
+    if args.l > n_support:
+        raise UsageError(f"--l must be <= N = {n_support} (the code length), got {args.l}")
+    ctx = curve.field_context(params)
+    matrix = curve.code_matrix(params, ctx, args.orbit, args.l)
+    return lambda stream: curve.write_matrix(stream, ctx, matrix)

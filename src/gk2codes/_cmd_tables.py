@@ -1,0 +1,130 @@
+"""The CLI's integer subcommands: semigroup, gaps, fengrao-table, quantum-table and frobenius.
+
+None builds a field.  fengrao, quantum and refdata are imported by the
+commands that use them, and the table writer by the table commands.
+"""
+
+import sys
+from itertools import compress
+from operator import attrgetter
+
+from ._render import _payload
+from .errors import UsageError
+from .gk2 import (
+    _holomorphic_gap_indicator,
+    curve_params,
+    frobenius_dimension_gk1,
+    frobenius_dimension_gk2,
+    frobenius_dimensions_differ,
+    orbit_semigroup,
+    semigroup_o1,
+)
+
+
+def _require_printable(name, value, params):
+    """Render value, the largest of a payload, before any write; name it past the digit limit."""
+    try:
+        "%d" % value
+    except ValueError:
+        raise UsageError(f"{name} at q={params.q}, n={params.n} has more than "
+                         f"{sys.get_int_max_str_digits()} digits, the limit on int to str "
+                         "conversion") from None
+
+
+def _cmd_semigroup(args):
+    params = curve_params(args.q, args.n)
+    sg = orbit_semigroup(params, args.orbit)
+    payload = {
+        "command": "semigroup",
+        "q": params.q,
+        "n": params.n,
+        "orbit": args.orbit,
+        "generators": list(sg.generators),
+        "genus": sg.genus,
+        "conductor": sg.conductor,
+        "symmetric": sg.is_symmetric(),
+        "first_nongaps": sg.first_nongaps(20),
+    }
+    return _payload(args.format, payload)
+
+
+def _cmd_gaps(args):
+    from ._table_writer import _table
+
+    # streamed off gap bytes whose count is asserted to be g: no tuple of g ints
+    params = curve_params(args.q, args.n)
+    if args.orbit == "O2":  # asserts |L| = g and L = complement
+        gap_bytes = _holomorphic_gap_indicator(params)
+    else:
+        gap_bytes = semigroup_o1(params)._gap_indicator()
+    gaps = compress(range(len(gap_bytes)), gap_bytes)
+    meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
+            "count": params.genus}
+    return _table(args.format, meta, ["gap"], [(params.genus, [gaps])])
+
+
+def _cmd_fengrao_table(args):
+    from . import fengrao
+    from ._table_writer import _table
+
+    params = curve_params(args.q, args.n)
+    sg = orbit_semigroup(params, args.orbit)
+    _, index, dims, rhos, nus, d_ords = fengrao._table_columns(sg, params, args.lmin, args.lmax)
+    meta = {
+        "command": "fengrao-table",
+        "q": params.q,
+        "n": params.n,
+        "orbit": args.orbit,
+        "N": params.rational_point_count - 1,
+    }
+    return _table(args.format, meta, ["k", "rho_l", "nu_l", "d_ord"],
+                  [(len(index), [dims, rhos, nus, d_ords])])
+
+
+def _cmd_quantum_table(args):
+    from . import quantum
+    from ._table_writer import _table
+
+    params = curve_params(args.q, args.n)
+    length = params.rational_point_count - 1
+    if args.regime == quantum.REGIME_HIGH_DEGREE:
+        # one or two runs, s_min and the note constant over each: no record or semigroup
+        _require_printable("N", length, params)  # no cell exceeds N in absolute value
+        runs = [(count, [*fields[1:5], fields[6]]) for count, fields
+                in quantum._runs(params, None, args.lmin, args.lmax, args.regime)]
+    else:
+        from . import refdata
+
+        sg = orbit_semigroup(params, args.orbit)
+        rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
+        notes = None  # no published table: no row has a note
+        if refdata.has_reference(params):
+            notes = refdata._notes(params, args.orbit, rows)
+        fields = ("index", "d_floor", "s_min", "s_max")
+        runs = [(len(rows), [*(map(attrgetter(f), rows) for f in fields), notes])]
+    meta = {
+        "command": "quantum-table",
+        "q": params.q,
+        "n": params.n,
+        "orbit": args.orbit,
+        "regime": args.regime,
+        "N": length,
+    }
+    return _table(args.format, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"], runs,
+                  text=("discrepancy",))
+
+
+def _cmd_frobenius(args):
+    params = curve_params(args.q, args.n)
+    differ = frobenius_dimensions_differ(args.q, args.n)
+    gk1 = frobenius_dimension_gk1(params)
+    _require_printable("gk1", gk1, params)  # the largest payload value
+    payload = {
+        "command": "frobenius",
+        "q": params.q,
+        "n": params.n,
+        "gk2": None if params.n < 5 else frobenius_dimension_gk2(params),
+        "gk1": gk1,
+        "isomorphic": "not-applicable" if differ is None else (not differ),
+    }
+    return _payload(args.format, payload)

@@ -9,42 +9,25 @@ deterministic output (csv, json or md) to stdout or a file.  Exit codes:
 from __future__ import annotations
 
 import sys
-from itertools import chain, compress, islice, repeat
-from operator import attrgetter
+from importlib import import_module
 from types import SimpleNamespace
 
-# curve, gf, fengrao, quantum and refdata are imported by the commands that
-# use them, so each process compiles only what its subcommand runs.  json is
-# imported only by _json_str and _dumps, for a value they do not write
-# themselves.
-from .errors import InternalConsistencyError, NeedsLocalResolutionError
-from .gk2 import (
-    _holomorphic_gap_indicator,
-    curve_params,
-    frobenius_dimension_gk1,
-    frobenius_dimension_gk2,
-    frobenius_dimensions_differ,
-    orbit_semigroup,
-    semigroup_o1,
-    semigroup_o2,
-    verify_partition,
-)
-from .semigroup import telescopic_genus
+# The entry module: the option table, the parser and the exit codes.  Each
+# command's body is in its family's module (_COMMANDS), which main imports
+# when it dispatches, so a process compiles only its own subcommand and the
+# library modules that runs.  No command module imports this one: under
+# `python -m gk2codes.cli` it is __main__, and an import of gk2codes.cli
+# would compile and run it a second time.  UsageError is errors.UsageError.
+from .errors import InternalConsistencyError, NeedsLocalResolutionError, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONSISTENT = 2
 EXIT_UNRESOLVED = 3
 
-SCHEMA_VERSION = 1
-MAX_CURVE_Q = 5
 # quantum.REGIME_ORDER_BOUND and quantum.REGIME_HIGH_DEGREE, spelled out so
 # that building the parser does not import quantum
 _REGIMES = ("order-bound", "high-degree")
-
-
-class UsageError(Exception):
-    pass
 
 
 # Every subcommand's help line and options, in --help order.  An option is
@@ -132,448 +115,18 @@ def _parse(argv):
     return SimpleNamespace(command=argv[0], **given)
 
 
-def _require_curve_scale(q: int):
-    if q > MAX_CURVE_Q:
-        raise UsageError(f"curve subcommands support q <= {MAX_CURVE_Q}, got {q}")
 
-
-def _require_printable(name, value, params):
-    """Render value, the largest of a payload, before any write; name it past the digit limit."""
-    try:
-        "%d" % value
-    except ValueError:
-        raise UsageError(f"{name} at q={params.q}, n={params.n} has more than "
-                         f"{sys.get_int_max_str_digits()} digits, the limit on int to str "
-                         "conversion") from None
-
-
-# -- renderers ---------------------------------------------------------------
-
-
-def _json_str(s):
-    """The JSON string literal of s, as ``json.dumps`` writes it (ASCII only)."""
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return '"' + s + '"'
-    import json
-
-    return json.encoder.encode_basestring_ascii(s)
-
-
-def _json(obj, indent):
-    """``json.dumps(obj, indent=2)`` at a depth whose line break is indent,
-    for dicts with str keys, lists, tuples, strs, ints, bools and None;
-    TypeError for any other value."""
-    kind = type(obj)
-    if kind is str:
-        return _json_str(obj)
-    if kind is int:
-        return "%d" % obj
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    inner = indent + "  "
-    if kind is dict and all(type(k) is str for k in obj):
-        items, ends = [_json_str(k) + ": " + _json(v, inner) for k, v in obj.items()], "{}"
-    elif kind is list or kind is tuple:
-        items, ends = [_json(v, inner) for v in obj], "[]"
-    else:
-        raise TypeError(f"{kind.__name__} is left to json")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
-
-
-def _dumps(obj):
-    """Exactly ``json.dumps(obj, indent=2)``; json is imported only for a
-    value that _json leaves to it."""
-    try:
-        return _json(obj, "\n")
-    except TypeError:
-        import json
-
-        return json.dumps(obj, indent=2)
-
-
-_BLOCK_ROWS = 4096
-
-
-def _table(fmt, meta, headers, runs, text=()):
-    """Writer of one table, given its meta, its headers and its rows as runs.
-
-    Each run is (row count, cells), with one entry per header: an iterable
-    over the column's cells in the run, or one cell constant over the run.
-    The cells are ints, but for the columns named in text, whose cells are
-    strs (a constant None is "").  The bytes are those of a csv writer
-    (minimal quoting, "\n" line ends), of ``json.dumps(indent=2)`` over
-    ``{"schema", **meta, "rows": [one dict per row]}``, or of the Markdown
-    lines.
-
-    Each run has one bytes row template: its constants written in by the
-    format's cell rule, %d for an int column and %s for the quoted, encoded
-    cells of a text column.  Its rows go out in blocks of ``_BLOCK_ROWS``,
-    one bytes ``%`` each, to the stream's binary layer.
-    """
-
-    def write(stream):
-        encoding, errors = stream.encoding or "utf-8", stream.errors or "strict"
-        out = _binary_writer(stream, encoding, errors)
-        sep = tail = ""
-        if fmt == "json":
-            quote = _json_str
-            keys = [f"      {quote(h)}: ".replace("%", "%%") for h in headers]
-            head = _dumps({"schema": SCHEMA_VERSION, **meta, "rows": []}) + "\n"
-            if any(count for count, _ in runs):
-                head, sep, tail = head.removesuffix("[]\n}\n") + "[\n", ",\n", "\n  ]\n}\n"
-
-            def line(slots):
-                return "    {\n" + ",\n".join(map(str.__add__, keys, slots)) + "\n    }"
-        elif fmt == "csv":
-            def quote(cell):  # as csv.writer quotes: minimal, with "\n" line ends
-                if "," in cell or '"' in cell or "\n" in cell or (not cell and len(headers) == 1):
-                    return '"' + cell.replace('"', '""') + '"'
-                return cell
-
-            def line(slots):
-                return ",".join(slots) + "\n"
-
-            head = line(map(quote, headers))
-        else:
-            quote = str
-
-            def line(slots):
-                return "| " + " | ".join(slots) + " |\n"
-
-            head = line(headers) + "|" + "---|" * len(headers) + "\n"
-        out(head.encode(encoding, errors))
-        sep = sep.encode()
-        first = True  # no separator before the table's first row
-        for count, cells in runs:
-            slots, args = [], []
-            for header, cell in zip(headers, cells):
-                if cell is None or isinstance(cell, (int, str)):  # constant over the run
-                    cell = quote(cell or "") if header in text else "%d" % cell
-                    slots.append(cell.replace("%", "%%"))
-                elif header in text:
-                    slots.append("%s")
-                    args.append(map(str.encode, map(quote, cell), repeat(encoding),
-                                    repeat(errors)))
-                else:
-                    slots.append("%d")
-                    args.append(cell)
-            template = sep + line(slots).encode(encoding, errors)
-            full = template * min(count, _BLOCK_ROWS)
-            cells = chain.from_iterable(zip(*args))
-            for i in range(0, count, _BLOCK_ROWS):
-                n = min(_BLOCK_ROWS, count - i)
-                block = template * n if i and n < _BLOCK_ROWS else full  # a short last block
-                if first:
-                    block, first = block[len(sep):], False
-                out(block % tuple(islice(cells, n * len(args))))
-        out(tail.encode())
-
-    return write
-
-
-def _binary_writer(stream, encoding, errors):
-    """A function that writes bytes whole, after all the text stream holds.
-
-    The bytes go to the stream's binary layer, which under PYTHONUNBUFFERED
-    is raw and may take part of a write; a stream with none (io.StringIO)
-    gets them decoded.
-    """
-    raw = getattr(stream, "buffer", None)
-    if raw is None:
-        return lambda data: stream.write(data.decode(encoding, errors))
-    stream.flush()
-
-    def write(data):
-        view = memoryview(data)
-        while view:
-            view = view[raw.write(view):]
-
-    return write
-
-
-def _payload(fmt, payload):
-    """Writer of a payload: json, a key/value table (values as csv.writer writes them), or md."""
-    if fmt == "json":
-        return _text(_dumps({"schema": SCHEMA_VERSION, **payload}) + "\n")
-    flat = _flatten(payload)
-    if fmt == "csv":  # every cell rendered here, so a value that fails fails before a write
-        keys, values = [k for k, _ in flat], ["" if v is None else str(v) for _, v in flat]
-        return _table(fmt, {}, ["key", "value"], [(len(flat), [keys, values])],
-                      text=("key", "value"))
-    return _text("\n".join(f"- **{k}**: {v}" for k, v in flat) + "\n")
-
-
-def _text(text):
-    """Writer of a payload already rendered to one (small) string."""
-    return lambda stream: stream.write(text)
-
-
-def _flatten(payload, prefix=""):
-    out = []
-    for k, v in payload.items():
-        key = f"{prefix}{k}"
-        if isinstance(v, dict):
-            out.extend(_flatten(v, key + "."))
-        elif isinstance(v, (list, tuple)):
-            out.append((key, " ".join(str(x) for x in v)))
-        else:
-            out.append((key, v))
-    return out
-
-
-# -- subcommands --------------------------------------------------------------
-
-
-def _cmd_semigroup(args):
-    params = curve_params(args.q, args.n)
-    sg = orbit_semigroup(params, args.orbit)
-    payload = {
-        "command": "semigroup",
-        "q": params.q,
-        "n": params.n,
-        "orbit": args.orbit,
-        "generators": list(sg.generators),
-        "genus": sg.genus,
-        "conductor": sg.conductor,
-        "symmetric": sg.is_symmetric(),
-        "first_nongaps": sg.first_nongaps(20),
-    }
-    return _payload(args.format, payload)
-
-
-def _cmd_gaps(args):
-    # streamed off gap bytes whose count is asserted to be g: no tuple of g ints
-    params = curve_params(args.q, args.n)
-    if args.orbit == "O2":  # asserts |L| = g and L = complement
-        gap_bytes = _holomorphic_gap_indicator(params)
-    else:
-        gap_bytes = semigroup_o1(params)._gap_indicator()
-    gaps = compress(range(len(gap_bytes)), gap_bytes)
-    meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
-            "count": params.genus}
-    return _table(args.format, meta, ["gap"], [(params.genus, [gaps])])
-
-
-def _cmd_fengrao_table(args):
-    from . import fengrao
-
-    params = curve_params(args.q, args.n)
-    sg = orbit_semigroup(params, args.orbit)
-    _, index, dims, rhos, nus, d_ords = fengrao._table_columns(sg, params, args.lmin, args.lmax)
-    meta = {
-        "command": "fengrao-table",
-        "q": params.q,
-        "n": params.n,
-        "orbit": args.orbit,
-        "N": params.rational_point_count - 1,
-    }
-    return _table(args.format, meta, ["k", "rho_l", "nu_l", "d_ord"],
-                  [(len(index), [dims, rhos, nus, d_ords])])
-
-
-def _cmd_quantum_table(args):
-    from . import quantum
-
-    params = curve_params(args.q, args.n)
-    length = params.rational_point_count - 1
-    if args.regime == quantum.REGIME_HIGH_DEGREE:
-        # one or two runs, s_min and the note constant over each: no record or semigroup
-        _require_printable("N", length, params)  # no cell exceeds N in absolute value
-        runs = [(count, [*fields[1:5], fields[6]]) for count, fields
-                in quantum._runs(params, None, args.lmin, args.lmax, args.regime)]
-    else:
-        from . import refdata
-
-        sg = orbit_semigroup(params, args.orbit)
-        rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
-        notes = None  # no published table: no row has a note
-        if refdata.has_reference(params):
-            notes = refdata._notes(params, args.orbit, rows)
-        fields = ("index", "d_floor", "s_min", "s_max")
-        runs = [(len(rows), [*(map(attrgetter(f), rows) for f in fields), notes])]
-    meta = {
-        "command": "quantum-table",
-        "q": params.q,
-        "n": params.n,
-        "orbit": args.orbit,
-        "regime": args.regime,
-        "N": length,
-    }
-    return _table(args.format, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"], runs,
-                  text=("discrepancy",))
-
-
-def _cmd_frobenius(args):
-    params = curve_params(args.q, args.n)
-    differ = frobenius_dimensions_differ(args.q, args.n)
-    gk1 = frobenius_dimension_gk1(params)
-    _require_printable("gk1", gk1, params)  # the largest payload value
-    payload = {
-        "command": "frobenius",
-        "q": params.q,
-        "n": params.n,
-        "gk2": None if params.n < 5 else frobenius_dimension_gk2(params),
-        "gk1": gk1,
-        "isomorphic": "not-applicable" if differ is None else (not differ),
-    }
-    return _payload(args.format, payload)
-
-
-def _cmd_points(args):
-    from . import curve as curve_mod
-
-    _require_curve_scale(args.q)
-    params = curve_params(args.q, args.n)
-    ctx = curve_mod.field_context(params)
-    c = curve_mod.census(params, ctx)
-    payload = {
-        "command": "points",
-        "q": params.q,
-        "n": params.n,
-        "field": {"p": ctx.p, "deg": ctx.deg, "order": ctx.order},
-        "count": c.total,
-        "orbit_sizes": {"O1": c.o1, "O2": c.o2, "generic": c.generic},
-        "maximality_count": params.rational_point_count,
-    }
-    return _payload(args.format, payload)
-
-
-def _cmd_code_matrix(args):
-    from . import curve as curve_mod
-
-    _require_curve_scale(args.q)
-    params = curve_params(args.q, args.n)
-    if args.l < 1:
-        raise UsageError(f"--l must be >= 1, got {args.l}")
-    n_support = params.rational_point_count - 1
-    if args.l > n_support:
-        raise UsageError(f"--l must be <= N = {n_support} (the code length), got {args.l}")
-    ctx = curve_mod.field_context(params)
-    matrix = curve_mod.code_matrix(params, ctx, args.orbit, args.l)
-    return lambda stream: curve_mod.write_matrix(stream, ctx, matrix)
-
-
-def _cmd_verify(args):
-    from . import curve as curve_mod
-    from . import refdata
-    from .gf import MAX_FIELD_SIZE
-
-    _require_curve_scale(args.q)
-    params = curve_params(args.q, args.n)
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "ok": bool(ok), "detail": str(detail)})
-
-    s1 = semigroup_o1(params)  # genus identity asserted inside
-    s2 = semigroup_o2(params)
-    check("o1_genus", s1.genus == params.genus, f"{s1.genus} == {params.genus}")
-    check("o2_genus", s2.genus == params.genus, f"{s2.genus} == {params.genus}")
-    top = params.q**params.n + 1
-    check("qn_plus_1_nongap", s1.contains(top) and s2.contains(top), top)
-    nonsym = not s1.is_symmetric() and not s2.is_symmetric()
-    if params.n >= 5:
-        check("not_symmetric", nonsym, f"2g-1 = {2*params.genus-1} is a nongap")
-    else:
-        check("symmetric_at_n3", not nonsym, "telescopic orbit semigroup at n = 3")
-
-    n_gaps = _holomorphic_gap_indicator(params).count(1)  # asserts size and complement equality
-    check("differential_gap_set", n_gaps == params.genus, f"|L| = {n_gaps}")
-
-    # verify_partition reports the genus of its sieve of this same sequence
-    rep = verify_partition(params)
-    seq = (params.m * params.q, params.m * params.q + params.q**2 - params.q, top)
-    check("telescopic_genus_cross_check", rep.telescopic_genus == telescopic_genus(seq), seq)
-    check("partition_inside", rep.sets_inside_h1_minus_s)
-    check("partition_disjoint", rep.sets_pairwise_disjoint)
-    check("partition_sizes", rep.set_sizes_match_formula)
-    check(
-        "partition_genus_count",
-        rep.genus_count_matches,
-        f"{rep.telescopic_genus} - {rep.partition_total} == {params.genus}",
-    )
-
-    if params.n >= 5:
-        r2 = frobenius_dimension_gk2(params)
-        count = s1.count_nongaps_upto(params.q**params.n) - 1
-        check("frobenius_dim_counts_nongaps", r2 == count + 1, f"r = {r2}")
-        check(
-            "frobenius_dims_differ",
-            frobenius_dimensions_differ(params.q, params.n) is True,
-            f"gk1 = {frobenius_dimension_gk1(params)}, gk2 = {r2}",
-        )
-
-    field_size = params.q ** (2 * params.n)
-    if field_size <= MAX_FIELD_SIZE:
-        ctx = curve_mod.field_context(params)
-        c = curve_mod.census(params, ctx)  # asserts totals internally
-        check("point_count", c.total == params.rational_point_count, c.total)
-        check("orbit_sizes", (c.o1, c.o2) == (params.q + 1, params.q**3 - params.q),
-              f"({c.o1}, {c.o2})")
-        if field_size <= 1 << 11:  # keep the staircase interactive-fast
-            ok = True
-            for orbit in ("O1", "O2"):
-                try:  # code_matrix's rank profile, certified on its leading columns
-                    base = curve_mod.distinguished_point(params, ctx, orbit)
-                    basis = curve_mod.build_basis(params, orbit, 10)
-                    ok &= curve_mod._rank_certificate(params, ctx, base, basis) == [*range(1, 11)]
-                except InternalConsistencyError:
-                    ok = False
-            check("rank_staircase_l_le_10", ok)
-
-    if refdata.has_reference(params):
-        for orbit, sg in (("O1", s1), ("O2", s2)):
-            comp = refdata.compare_code_table(params, sg, orbit)
-            check(
-                f"reference_code_cells_{orbit}",
-                not comp.value_mismatches,
-                f"{comp.rows_checked} rows, "
-                f"{len(comp.first_column_typos)} first-column typos, "
-                f"duplicates k={comp.duplicated_cells}, omitted l={comp.omitted_indices}",
-            )
-            qcomp = refdata.compare_quantum_table(params, sg, orbit)
-            check(
-                f"reference_quantum_cells_{orbit}",
-                not qcomp.d_or_smax_mismatches,
-                f"{qcomp.rows_checked} rows, s_min flags: "
-                f"{[(m.index, m.computed, m.reference) for m in qcomp.s_min_mismatches]}",
-            )
-
-    all_ok = all(c["ok"] for c in checks)
-    payload = {
-        "command": "verify",
-        "q": params.q,
-        "n": params.n,
-        "all_ok": all_ok,
-        "checks": checks,
-    }
-    if args.format == "md":
-        lines = [f"# verify q={params.q} n={params.n}"]
-        lines += [
-            f"- [{'PASS' if c['ok'] else 'FAIL'}] {c['name']}"
-            + (f" ({c['detail']})" if c["detail"] else "")
-            for c in checks
-        ]
-        lines.append(f"- overall: {'PASS' if all_ok else 'FAIL'}")
-        write = _text("\n".join(lines) + "\n")
-    else:
-        write = _payload(args.format, payload)
-    return write, EXIT_OK if all_ok else EXIT_INCONSISTENT
-
-
+# Each subcommand's module and function.  The function returns a writer of
+# its output, or (writer, ok), where ok False exits EXIT_INCONSISTENT.
 _COMMANDS = {
-    "semigroup": _cmd_semigroup,
-    "gaps": _cmd_gaps,
-    "fengrao-table": _cmd_fengrao_table,
-    "quantum-table": _cmd_quantum_table,
-    "frobenius": _cmd_frobenius,
-    "points": _cmd_points,
-    "code-matrix": _cmd_code_matrix,
-    "verify": _cmd_verify,
+    "semigroup": ("_cmd_tables", "_cmd_semigroup"),
+    "gaps": ("_cmd_tables", "_cmd_gaps"),
+    "fengrao-table": ("_cmd_tables", "_cmd_fengrao_table"),
+    "quantum-table": ("_cmd_tables", "_cmd_quantum_table"),
+    "frobenius": ("_cmd_tables", "_cmd_frobenius"),
+    "points": ("_cmd_curve", "_cmd_points"),
+    "code-matrix": ("_cmd_curve", "_cmd_code_matrix"),
+    "verify": ("_cmd_verify", "_cmd_verify"),
 }
 
 
@@ -617,9 +170,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse(argv) or build_parser().parse_args(argv)
-        result = _COMMANDS[args.command](args)
-        write, code = result if isinstance(result, tuple) else (result, EXIT_OK)
-        return _emit(write, args.output, code)
+        module, function = _COMMANDS[args.command]
+        result = getattr(import_module(f"{__package__}.{module}"), function)(args)
+        write, ok = result if isinstance(result, tuple) else (result, True)
+        return _emit(write, args.output, EXIT_OK if ok else EXIT_INCONSISTENT)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,17 @@
 """Exception types shared across the package.
 
 Plain ValueError is used for rejected inputs (bad parameters, out-of-range
-arguments).  The two classes below mark conditions with dedicated CLI exit
-codes: a failed internal identity (something the theory guarantees) and an
-evaluation that would need local (power series) analysis to resolve.
+arguments).  The classes below mark conditions with dedicated CLI exit
+codes: a command line the CLI rejects, a failed internal identity
+(something the theory guarantees) and an evaluation that would need local
+(power series) analysis to resolve.
 """
+
+MAX_CURVE_Q = 5
+
+
+class UsageError(Exception):
+    """A command line or input the CLI rejects; it exits 1 with one line."""
 
 
 class InternalConsistencyError(AssertionError):
@@ -18,3 +25,8 @@ class NeedsLocalResolutionError(ValueError):
 class PoleEvaluationError(ValueError):
     """Function evaluated at a point where it has a pole."""
 
+
+def _require_curve_scale(q: int):
+    """The bound on q of the subcommands that build a curve's field: points, code-matrix, verify."""
+    if q > MAX_CURVE_Q:
+        raise UsageError(f"curve subcommands support q <= {MAX_CURVE_Q}, got {q}")

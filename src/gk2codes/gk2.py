@@ -15,10 +15,15 @@ from __future__ import annotations
 
 from itertools import chain, compress
 from math import isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalConsistencyError
-from .semigroup import NumericalSemigroup, telescopic_genus
+
+if TYPE_CHECKING:
+    from .semigroup import NumericalSemigroup
+
+# semigroup is imported by the functions that sieve, so a job that only
+# reads the curve's scalars (points) compiles no sieve.
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
@@ -113,6 +118,8 @@ def orbit_semigroup(params: CurveParams, orbit: str) -> NumericalSemigroup:
     """The orbit's semigroup, sieved from its generators; its genus must be the curve's."""
     if orbit not in ("O1", "O2"):
         raise ValueError(f"orbit must be 'O1' or 'O2', got {orbit!r}")
+    from .semigroup import NumericalSemigroup
+
     gens = o1_generators(params) if orbit == "O1" else o2_generators(params)
     sg = NumericalSemigroup.from_generators(gens, conductor_hint=2 * params.genus)
     if sg.genus != params.genus:
@@ -258,6 +265,8 @@ def verify_partition(params: CurveParams) -> PartitionReport:
     needs s >= 2, so that mq, mq + q^2 - q and q^n + 1 are O1 generators
     and gcd(H1) = 1.
     """
+    from .semigroup import NumericalSemigroup, telescopic_genus
+
     q, m, s = params.q, params.m, params.s
     step = q * q - q
     qq1 = q**params.n + 1

@@ -15,7 +15,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gk2codes import cli, curve, fengrao, gk2, quantum, refdata, semigroup
+from gk2codes import (
+    _cmd_tables,
+    _render,
+    _table_writer,
+    cli,
+    curve,
+    fengrao,
+    gk2,
+    quantum,
+    refdata,
+    semigroup,
+)
 from gk2codes.cli import main
 from gk2codes.gk2 import curve_params, holomorphic_gap_set, orbit_semigroup, semigroup_o1
 from gk2codes.semigroup import NumericalSemigroup
@@ -288,17 +299,26 @@ _IMPORT_PROBE_JOBS = {
     "verify no-reference": ("--q", "3", "--n", "3"),
 }
 _NOT_LOADED_BY = {
-    "points": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata"},
-    "code-matrix": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata"},
-    "semigroup": {"gk2codes.gf", "gk2codes.curve"},
+    # the census reads the curve's scalars only: no sieve, and no table
+    "points": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata",
+               "gk2codes.semigroup", "gk2codes._table_writer"},
+    # the matrix has its own writer
+    "code-matrix": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata",
+                    "gk2codes._render", "gk2codes._table_writer"},
+    "semigroup": {"gk2codes.gf", "gk2codes.curve", "gk2codes._table_writer"},
     "gaps": {"gk2codes.gf", "gk2codes.curve"},
     "fengrao-table": {"gk2codes.gf", "gk2codes.curve"},
     "quantum-table": {"gk2codes.gf", "gk2codes.curve"},
     # reference rows exist only for the order-bound regime
     "quantum-table high-degree": {"gk2codes.gf", "gk2codes.curve", "gk2codes.refdata", "csv"},
+    "verify": {"gk2codes._table_writer"},
     # no published tables at (3, 3): the reference machinery is not loaded
-    "verify no-reference": {"gk2codes.fengrao", "gk2codes.quantum", "csv"},
+    "verify no-reference": {"gk2codes.fengrao", "gk2codes.quantum", "csv",
+                            "gk2codes._table_writer"},
 }
+
+# the module of each subcommand's command family, which holds its body
+_FAMILY = {command: f"gk2codes.{module}" for command, (module, _) in cli._COMMANDS.items()}
 
 
 # what argparse loads: a well-formed command line parses without it
@@ -383,6 +403,56 @@ def test_plain_jobs_never_load_json():
     assert out.stdout.splitlines() == [f"{job} 0 False" for job in jobs]
 
 
+# Runs the module as `python -m gk2codes.cli` does and prints, at exit, the
+# gk2codes modules the job loaded: the entry module itself is __main__.
+_ENTRY_MODULES_PROBE = (
+    "import atexit, os, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('gk2codes'))))\n"
+    "sys.argv += ['-o', os.devnull]\n"
+    "runpy.run_module('gk2codes.cli', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("job", sorted(_IMPORT_PROBE_JOBS))
+def test_each_subcommand_loads_only_its_own_code(job):
+    command = job.split()[0]
+    out = subprocess.run([sys.executable, "-c", _ENTRY_MODULES_PROBE, command,
+                          *_IMPORT_PROBE_JOBS[job]], capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (0, ""), job
+    loaded = set(out.stdout.split())
+    # a command module that imported gk2codes.cli would run the entry module twice
+    assert "gk2codes.cli" not in loaded, job
+    assert loaded & set(_FAMILY.values()) == {_FAMILY[command]}, (job, loaded)
+    assert not _NOT_LOADED_BY.get(job, set()) & loaded, (job, loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    "points --q 7 --n 3",
+    "code-matrix --q 2 --n 3 --orbit O1 --l 0",
+    "quantum-table --q 2 --n 5 --orbit O1 --lmin 5 --lmax 4",  # a ValueError
+    "frobenius --q 4 --n 8001",  # gk1 past the digit limit
+    "verify --q 7 --n 3",
+], ids=lambda argv: argv.split()[0])
+def test_usage_error_in_each_command_module_exits_1(argv):
+    # the error is raised in the command's module and caught by the entry
+    # module running as __main__: both must see the one UsageError class
+    out = subprocess.run([sys.executable, "-m", "gk2codes.cli", *argv.split()],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+def test_every_benchmark_job_matches_its_golden_record_through_the_entry_point():
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+    for key, want in json.loads(golden.read_text()).items():
+        out = subprocess.run([sys.executable, "-m", "gk2codes.cli", *key.split()],
+                             capture_output=True, timeout=60)
+        assert out.returncode == want["exit_code"], (key, out.stderr[-500:])
+        assert len(out.stdout) == want["stdout_bytes"], key
+        assert hashlib.sha256(out.stdout).hexdigest() == want["stdout_sha256"], key
+
+
 # printable ASCII with the two characters JSON escapes in it, then control
 # characters, DEL and non-ASCII, then any text
 _JSON_TEXT = (st.text(alphabet='ab /"\\', max_size=4)
@@ -399,7 +469,7 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 @example({"\\": "a\\b", '"': ['say "x"', "\x7f"]})
 def test_json_renderer_is_json_dumps(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+    assert _render._dumps(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("obj", [
@@ -407,13 +477,13 @@ def test_json_renderer_is_json_dumps(obj):
     1.5, [1, 2.5], {"a": {1: "int key"}}, {"a": [float("nan")]}, True, None,
 ])
 def test_json_renderer_falls_back_to_json_exactly(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+    assert _render._dumps(obj) == json.dumps(obj, indent=2)
 
 
 def test_json_renderer_raises_as_json_past_the_digit_limit():
     obj = {"gk1": [10**4400]}
     with pytest.raises(ValueError) as ours:
-        cli._dumps(obj)
+        _render._dumps(obj)
     with pytest.raises(ValueError) as theirs:
         json.dumps(obj, indent=2)
     assert str(ours.value) == str(theirs.value)
@@ -900,14 +970,14 @@ def _renderer_cases():
 
 @pytest.mark.parametrize("fmt, rows, block", _renderer_cases())
 def test_table_renderer_matches_former_renderer(monkeypatch, fmt, rows, block):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(_table_writer, "_BLOCK_ROWS", block)
     headers, meta = ["k", "note %d"], {"command": "t", "q": 2, "note": "\u00e9"}
     cols = list(zip(*rows)) or [(), ()]
     text = [h for h, col in zip(headers, cols) if col and all(type(c) is str for c in col)]
     # one pass over each column: the writer gets iterators, not sequences
     runs = [(len(rows), [iter(col) for col in cols])]
     buf = io.StringIO()  # no binary layer: the writer decodes its bytes
-    cli._table(fmt, meta, headers, runs, text=text)(buf)
+    _table_writer._table(fmt, meta, headers, runs, text=text)(buf)
     assert buf.getvalue() == _render_table(fmt, meta, headers, rows)
 
 
@@ -952,8 +1022,8 @@ def test_run_writer_matches_former_renderer(table):
                     for count, cells in runs]
             stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
             stream.write("before\n")  # still in the text layer when the writer starts
-            with mock.patch.object(cli, "_BLOCK_ROWS", block):
-                cli._table(fmt, meta, headers, once, text=text)(stream)
+            with mock.patch.object(_table_writer, "_BLOCK_ROWS", block):
+                _table_writer._table(fmt, meta, headers, once, text=text)(stream)
             stream.write("after\n")
             stream.flush()
             assert stream.buffer.getvalue() == b"before\n" + want + b"after\n", (fmt, block)
@@ -963,7 +1033,7 @@ def _former_payload(fmt, payload):
     """The former payload renderer, csv through csv.writer: one string, kept as the oracle."""
     if fmt == "json":
         return json.dumps({"schema": 1, **payload}, indent=2) + "\n"
-    flat = cli._flatten(payload)
+    flat = _render._flatten(payload)
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([["key", "value"], *flat])
@@ -984,12 +1054,12 @@ def test_payload_writer_matches_former_renderer(payload):
         want = _former_payload(fmt, payload)
         stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
         stream.write("before\n")  # still in the text layer when the writer starts
-        cli._payload(fmt, payload)(stream)
+        _render._payload(fmt, payload)(stream)
         stream.write("after\n")
         stream.flush()
         assert stream.buffer.getvalue() == b"before\n" + want.encode() + b"after\n", fmt
         buf = io.StringIO()  # no binary layer
-        cli._payload(fmt, payload)(buf)
+        _render._payload(fmt, payload)(buf)
         assert buf.getvalue() == want, fmt
 
 
@@ -1217,7 +1287,7 @@ def test_memory_error_is_a_one_line_error(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._COMMANDS, "semigroup", exhausted)
+    monkeypatch.setattr(_cmd_tables, "_cmd_semigroup", exhausted)
     assert run_cli(capsys, "semigroup", "--q", "2", "--n", "3", "--orbit", "O1") == (
         1, "", "error: out of memory\n")
 

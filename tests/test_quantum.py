@@ -208,7 +208,7 @@ def test_order_bound_table_matches_per_row_oracle(job):
 @example((2, 3, "O1", HD, 214, 214))
 @example((2, 3, "O2", OB, 10, 29))
 def test_runs_are_what_the_table_writer_takes(job):
-    # cli._table writes an int, str or None field as a constant and takes
+    # _table_writer._table writes an int, str or None field as a constant and takes
     # exactly count cells from any other: a short column would reach its
     # bytes template with too few cells
     q, n, orbit, regime, l_min, l_max = job

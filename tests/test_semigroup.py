@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gk2codes import cli, semigroup
+from gk2codes import _cmd_tables, cli, semigroup
 from gk2codes.gk2 import curve_params, o1_generators, o2_generators, semigroup_o1
 from gk2codes.semigroup import (
     NumericalSemigroup,
@@ -404,7 +404,7 @@ def test_point_queries_build_no_tuple(monkeypatch, capsys):
     firsts = [sg.nth_nongap(i) for i in range(1, 21)]
     assert firsts == sg.first_nongaps(20) and firsts[0] == 0
     assert sg.nongaps_upto(firsts[-1]) == firsts
-    monkeypatch.setattr(cli, "orbit_semigroup", lambda params, orbit: sg)
+    monkeypatch.setattr(_cmd_tables, "orbit_semigroup", lambda params, orbit: sg)
     assert cli.main(["semigroup", "--q", "4", "--n", "7", "--orbit", "O1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["genus"], payload["conductor"], payload["first_nongaps"]) == (g, c, firsts)
