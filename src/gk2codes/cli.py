@@ -115,7 +115,6 @@ def _parse(argv):
     return SimpleNamespace(command=argv[0], **given)
 
 
-
 # Each subcommand's module and function.  The function returns a writer of
 # its output, or (writer, ok), where ok False exits EXIT_INCONSISTENT.
 _COMMANDS = {
