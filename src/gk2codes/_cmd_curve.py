@@ -10,16 +10,14 @@ from .gk2 import curve_params
 
 
 def _cmd_points(args):
-    from ._render import _payload
+    from ._render import _head, _payload
 
     _require_curve_scale(args.q)
     params = curve_params(args.q, args.n)
     ctx = curve.field_context(params)
     c = curve.census(params, ctx)
     payload = {
-        "command": "points",
-        "q": params.q,
-        "n": params.n,
+        **_head(args),
         "field": {"p": ctx.p, "deg": ctx.deg, "order": ctx.order},
         "count": c.total,
         "orbit_sizes": {"O1": c.o1, "O2": c.o2, "generic": c.generic},

@@ -8,7 +8,7 @@ import sys
 from itertools import compress
 from operator import attrgetter
 
-from ._render import _payload
+from ._render import _head, _payload
 from .errors import UsageError
 from .gk2 import (
     _holomorphic_gap_indicator,
@@ -35,10 +35,7 @@ def _cmd_semigroup(args):
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
     payload = {
-        "command": "semigroup",
-        "q": params.q,
-        "n": params.n,
-        "orbit": args.orbit,
+        **_head(args),
         "generators": list(sg.generators),
         "genus": sg.genus,
         "conductor": sg.conductor,
@@ -58,9 +55,8 @@ def _cmd_gaps(args):
     else:
         gap_bytes = semigroup_o1(params)._gap_indicator()
     gaps = compress(range(len(gap_bytes)), gap_bytes)
-    meta = {"command": "gaps", "q": params.q, "n": params.n, "orbit": args.orbit,
-            "count": params.genus}
-    return _table(args.format, meta, ["gap"], [(params.genus, [gaps])])
+    return _table(args.format, {**_head(args), "count": params.genus}, ["gap"],
+                  [(params.genus, [gaps])])
 
 
 def _cmd_fengrao_table(args):
@@ -70,13 +66,7 @@ def _cmd_fengrao_table(args):
     params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
     _, index, dims, rhos, nus, d_ords = fengrao._table_columns(sg, params, args.lmin, args.lmax)
-    meta = {
-        "command": "fengrao-table",
-        "q": params.q,
-        "n": params.n,
-        "orbit": args.orbit,
-        "N": params.rational_point_count - 1,
-    }
+    meta = {**_head(args), "N": params.rational_point_count - 1}
     return _table(args.format, meta, ["k", "rho_l", "nu_l", "d_ord"],
                   [(len(index), [dims, rhos, nus, d_ords])])
 
@@ -102,14 +92,7 @@ def _cmd_quantum_table(args):
             notes = refdata._notes(params, args.orbit, rows)
         fields = ("index", "d_floor", "s_min", "s_max")
         runs = [(len(rows), [*(map(attrgetter(f), rows) for f in fields), notes])]
-    meta = {
-        "command": "quantum-table",
-        "q": params.q,
-        "n": params.n,
-        "orbit": args.orbit,
-        "regime": args.regime,
-        "N": length,
-    }
+    meta = {**_head(args), "regime": args.regime, "N": length}
     return _table(args.format, meta, ["l", "d_ord", "s_min", "s_max", "discrepancy"], runs,
                   text=("discrepancy",))
 
@@ -120,9 +103,7 @@ def _cmd_frobenius(args):
     gk1 = frobenius_dimension_gk1(params)
     _require_printable("gk1", gk1, params)  # the largest payload value
     payload = {
-        "command": "frobenius",
-        "q": params.q,
-        "n": params.n,
+        **_head(args),
         "gk2": None if params.n < 5 else frobenius_dimension_gk2(params),
         "gk1": gk1,
         "isomorphic": "not-applicable" if differ is None else (not differ),

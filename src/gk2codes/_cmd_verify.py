@@ -1,7 +1,7 @@
 """The CLI's verify subcommand: the full invariant suite for one (q, n)."""
 
 from . import curve, refdata
-from ._render import _payload, _text
+from ._render import _head, _payload, _text
 from .errors import InternalConsistencyError, _require_curve_scale
 from .gf import MAX_FIELD_SIZE
 from .gk2 import (
@@ -100,13 +100,7 @@ def _cmd_verify(args):
             )
 
     all_ok = all(c["ok"] for c in checks)
-    payload = {
-        "command": "verify",
-        "q": params.q,
-        "n": params.n,
-        "all_ok": all_ok,
-        "checks": checks,
-    }
+    payload = {**_head(args), "all_ok": all_ok, "checks": checks}
     if args.format == "md":
         lines = [f"# verify q={params.q} n={params.n}"]
         lines += [

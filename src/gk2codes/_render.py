@@ -9,6 +9,15 @@ value they do not write themselves.
 SCHEMA_VERSION = 1
 
 
+def _head(args):
+    """The first keys of every payload and table meta: the command, q, n and,
+    when the command line has one, the orbit."""
+    head = {"command": args.command, "q": args.q, "n": args.n}
+    if hasattr(args, "orbit"):
+        head["orbit"] = args.orbit
+    return head
+
+
 def _json_str(s):
     """The JSON string literal of s, as ``json.dumps`` writes it (ASCII only)."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:

@@ -13,7 +13,7 @@ from importlib import import_module
 from types import SimpleNamespace
 
 # The entry module: the option table, the parser and the exit codes.  Each
-# command's body is in its family's module (_COMMANDS), which main imports
+# command's body is in its family's module (_OPTIONS), which main imports
 # when it dispatches, so a process compiles only its own subcommand and the
 # library modules that runs.  No command module imports this one: under
 # `python -m gk2codes.cli` it is __main__, and an import of gk2codes.cli
@@ -30,9 +30,11 @@ EXIT_UNRESOLVED = 3
 _REGIMES = ("order-bound", "high-degree")
 
 
-# Every subcommand's help line and options, in --help order.  An option is
-# (flags, dest, type, choices, required, default, help); build_parser() and
-# _parse() both read it.
+# Every subcommand's help line, family module and options, in --help order.
+# An option is (flags, dest, type, choices, required, default, help);
+# build_parser() and _parse() both read it.  main calls the module's
+# _cmd_<command with - as _>, which returns a writer of its output, or
+# (writer, ok), where ok False exits EXIT_INCONSISTENT.
 _Q = (("--q",), "q", int, None, True, None, "prime power")
 _N = (("--n",), "n", int, None, True, None, "odd integer >= 3")
 _ORBIT = (("--orbit",), "orbit", str, ("O1", "O2"), True, None, None)
@@ -41,22 +43,24 @@ _LMAX = (("--lmax",), "lmax", int, None, False, None, None)
 _FORMAT = (("--format",), "format", str, ("csv", "json", "md"), False, "json", None)
 _OUTPUT = (("-o", "--output"), "output", str, None, False, None, "output path (default stdout)")
 _OPTIONS = {
-    "semigroup": ("orbit semigroup summary", (_Q, _N, _ORBIT, _FORMAT, _OUTPUT)),
-    "gaps": ("gap sequence of an orbit semigroup", (_Q, _N, _ORBIT, _FORMAT, _OUTPUT)),
-    "fengrao-table": ("dual code parameter rows",
-                      (_Q, _N, _ORBIT, _LMIN, _LMAX, _FORMAT, _OUTPUT)),
-    "quantum-table": ("CSS parameter ranges", (
+    "semigroup": ("orbit semigroup summary", "_cmd_tables", (_Q, _N, _ORBIT, _FORMAT, _OUTPUT)),
+    "gaps": ("gap sequence of an orbit semigroup", "_cmd_tables",
+             (_Q, _N, _ORBIT, _FORMAT, _OUTPUT)),
+    "fengrao-table": ("dual code parameter rows", "_cmd_tables", (
+        _Q, _N, _ORBIT, _LMIN, _LMAX, _FORMAT, _OUTPUT)),
+    "quantum-table": ("CSS parameter ranges", "_cmd_tables", (
         _Q, _N, _ORBIT, _LMIN, _LMAX, _FORMAT, _OUTPUT,
         (("--regime",), "regime", str, _REGIMES, False, _REGIMES[0], None))),
-    "frobenius": ("Frobenius dimensions of both families", (_Q, _N, _FORMAT, _OUTPUT)),
-    "points": ("rational point census", (_Q, _N, _FORMAT, _OUTPUT)),
-    "code-matrix": ("evaluation code generator matrix", (
+    "frobenius": ("Frobenius dimensions of both families", "_cmd_tables",
+                  (_Q, _N, _FORMAT, _OUTPUT)),
+    "points": ("rational point census", "_cmd_curve", (_Q, _N, _FORMAT, _OUTPUT)),
+    "code-matrix": ("evaluation code generator matrix", "_cmd_curve", (
         (("--q",), "q", int, None, True, None, None),
         (("--n",), "n", int, None, True, None, None),
         _ORBIT,
         (("--l",), "l", int, None, True, None, "number of basis rows"),
         (("-o", "--output"), "output", str, None, False, None, None))),
-    "verify": ("full invariant suite for one (q, n)", (_Q, _N, _FORMAT, _OUTPUT)),
+    "verify": ("full invariant suite for one (q, n)", "_cmd_verify", (_Q, _N, _FORMAT, _OUTPUT)),
 }
 
 
@@ -70,7 +74,7 @@ def build_parser():
 
     p = _Parser(prog="gk2codes", description=__doc__)
     subs = p.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _OPTIONS.items():
+    for command, (summary, _, options) in _OPTIONS.items():
         sub = subs.add_parser(command, help=summary)
         for flags, dest, kind, choices, required, default, text in options:
             sub.add_argument(*flags, dest=dest, type=kind, choices=choices,
@@ -89,7 +93,7 @@ def _parse(argv):
     """
     if len(argv) % 2 != 1 or argv[0] not in _OPTIONS:
         return None
-    options = _OPTIONS[argv[0]][1]
+    options = _OPTIONS[argv[0]][2]
     by_flag = {flag: option for option in options for flag in option[0]}
     given = {}
     for flag, value in zip(argv[1::2], argv[2::2]):
@@ -113,20 +117,6 @@ def _parse(argv):
                 return None
             given[dest] = default
     return SimpleNamespace(command=argv[0], **given)
-
-
-# Each subcommand's module and function.  The function returns a writer of
-# its output, or (writer, ok), where ok False exits EXIT_INCONSISTENT.
-_COMMANDS = {
-    "semigroup": ("_cmd_tables", "_cmd_semigroup"),
-    "gaps": ("_cmd_tables", "_cmd_gaps"),
-    "fengrao-table": ("_cmd_tables", "_cmd_fengrao_table"),
-    "quantum-table": ("_cmd_tables", "_cmd_quantum_table"),
-    "frobenius": ("_cmd_tables", "_cmd_frobenius"),
-    "points": ("_cmd_curve", "_cmd_points"),
-    "code-matrix": ("_cmd_curve", "_cmd_code_matrix"),
-    "verify": ("_cmd_verify", "_cmd_verify"),
-}
 
 
 def _emit(write, path, code):
@@ -169,8 +159,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse(argv) or build_parser().parse_args(argv)
-        module, function = _COMMANDS[args.command]
-        result = getattr(import_module(f"{__package__}.{module}"), function)(args)
+        module = import_module(f"{__package__}.{_OPTIONS[args.command][1]}")
+        result = getattr(module, "_cmd_" + args.command.replace("-", "_"))(args)
         write, ok = result if isinstance(result, tuple) else (result, True)
         return _emit(write, args.output, EXIT_OK if ok else EXIT_INCONSISTENT)
     except UsageError as exc:

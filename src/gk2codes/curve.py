@@ -354,6 +354,8 @@ def eval_basis(
         limit = ctx.add(ctx.one, point.a) if o1 else point.a
         return ctx.pow(ctx.inv(limit), extra_exp)
     num, den = _num_den(ctx, fn.orbit, point, base)
+    # Never at a point of the curve: x + y = 0 would give y^{q+1} = x^{q+1}, not
+    # x^{q+1} - 1, and y = a forces x = 0, then z = 0, which is the base point.
     if den == 0:
         raise NeedsLocalResolutionError(
             f"{'x + y' if o1 else 'y - a'} vanishes off the base point at "

@@ -65,15 +65,18 @@ def curve_params(q: int, n: int) -> CurveParams:
     p, _ = prime_power_decompose(q)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 3, got {n}")
+    # The three identities cannot fail.  q + 1 | q^n + 1 as n is odd.
     if (q**n + 1) % (q + 1):
         raise InternalConsistencyError(f"(q+1) does not divide q^n+1 for q={q}, n={n}")
     m = (q**n + 1) // (q + 1)
+    # m - 1 = q (q^{n-1} - 1)/(q + 1), and q^2 - 1 | q^{n-1} - 1 as n - 1 is even.
     if (m - 1) % (q * q - q):
         raise InternalConsistencyError(f"(q^2-q) does not divide m-1 for q={q}, n={n}")
     s = (m - 1) // (q * q - q)
     genus = (q - 1) * (q ** (n + 1) + q**n - q * q) // 2
     n_points = q ** (2 * n) + 1 + 2 * genus * q**n
     budget = q ** (n + 1) - q**n - q * q + 2 * q - 2
+    # Both sides expand to q^{n+2} - q^n - q^3 + q^2 - 2.
     if budget * (q + 1) != 2 * genus - 2:
         raise InternalConsistencyError(
             f"differential pole budget {budget} != (2g-2)/(q+1) for q={q}, n={n}"

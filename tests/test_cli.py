@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import import_module
 from itertools import chain, combinations
 from pathlib import Path
 from unittest import mock
@@ -253,6 +254,50 @@ def test_table_and_verify_golden_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[argv]
 
 
+# sha256 of each format of the payload and table jobs that no pin above
+# covers, so the output head (command, q, n, orbit) is pinned in every
+# command and format; frobenius at n = 3 has the null and not-applicable cells
+FORMAT_SHA256 = {
+    "points --q 2 --n 3 --format json":
+        "3a18552d75f93d75aaed0fe4ec17cda8198eb8bd1b3e6c737881a7a48b8a5942",
+    "points --q 2 --n 3 --format csv":
+        "78f18049dd40f93dbd25256ba6ba215f2c864513d249d844568d24a5231d0d3a",
+    "points --q 2 --n 3 --format md":
+        "675fadccccc2e8d84e211f3d628039e9edee1822b1391fa28cc1e351a2e45014",
+    "frobenius --q 2 --n 5 --format json":
+        "07e311f0936a57aeb090caf37934a9d5914c784f5747b085ae37d55981f0c3bc",
+    "frobenius --q 2 --n 5 --format csv":
+        "6e3b18f183a627bc55dded8a2206d9a6fad6afd9a520a4580d70116c3825cee9",
+    "frobenius --q 2 --n 5 --format md":
+        "796230813f15aaa8a0c3d40e6c8aaf6a9d3202db85c121bad9cab71748eec8a5",
+    "frobenius --q 2 --n 3 --format json":
+        "8ea7b163bb67e03d33654136012fe002ab115bf13f1e85a921f3b78f72b3152a",
+    "frobenius --q 2 --n 3 --format csv":
+        "34a086409cfb540db4cabc23dbd3fa6bfac821577282fd378ddffb32cc62d3e0",
+    "frobenius --q 2 --n 3 --format md":
+        "1c6826fbbbf591181978aad20b9cfac54d5adb1c141dfafdc83e3ed409096433",
+    "gaps --q 2 --n 5 --orbit O2 --format json":
+        "1c5087eaf0df1e9149d5071ecaf10f96b1e83d926759b22ab6df963612d81259",
+    "gaps --q 2 --n 5 --orbit O2 --format csv":
+        "62102048eb2678c1e11dec2f4c9c14d166b98277934a33f02688a2281957d823",
+    "gaps --q 2 --n 5 --orbit O2 --format md":
+        "d9cba86b0c56f9c2d00d1d2fa8ac9d7f7b162249788a18b87b4825b84a5ac994",
+    "fengrao-table --q 2 --n 5 --orbit O1 --format json":
+        "fcf20f044b935414adf612a23811de9a05d51617b1fbe6d0bdbe856ea936ce4b",
+    "fengrao-table --q 2 --n 5 --orbit O1 --format csv":
+        "2eec6517635c38e21e9be7d77ac9283ed909495f428801273269b3efc8cc4cde",
+    "fengrao-table --q 2 --n 5 --orbit O1 --format md":
+        "b6056ee05a5b36fd9e9eaea7d2a0e3d841f59561f060c1e92b8f2da40d427658",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FORMAT_SHA256))
+def test_every_format_golden_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_SHA256[argv]
+
+
 def test_verify_reads_the_gap_count_off_the_checked_indicator(capsys, monkeypatch):
     # |L| comes from the indicator whose size and complement checks ran: no
     # tuple of g gap ints is built
@@ -318,7 +363,7 @@ _NOT_LOADED_BY = {
 }
 
 # the module of each subcommand's command family, which holds its body
-_FAMILY = {command: f"gk2codes.{module}" for command, (module, _) in cli._COMMANDS.items()}
+_FAMILY = {command: f"gk2codes.{module}" for command, (_, module, _) in cli._OPTIONS.items()}
 
 
 # what argparse loads: a well-formed command line parses without it
@@ -424,6 +469,20 @@ def test_each_subcommand_loads_only_its_own_code(job):
     assert "gk2codes.cli" not in loaded, job
     assert loaded & set(_FAMILY.values()) == {_FAMILY[command]}, (job, loaded)
     assert not _NOT_LOADED_BY.get(job, set()) & loaded, (job, loaded)
+
+
+def test_each_command_body_is_named_by_one_option_row():
+    # main calls the row's family module's _cmd_<command with - as _>: every
+    # row names a body there, and every body is named by a row
+    named = set()
+    for command, (_, module, _) in cli._OPTIONS.items():
+        name = "_cmd_" + command.replace("-", "_")
+        assert callable(getattr(import_module(f"gk2codes.{module}"), name, None)), command
+        named.add((module, name))
+    defined = {(module, name) for module in ("_cmd_curve", "_cmd_tables", "_cmd_verify")
+               for name, value in vars(import_module(f"gk2codes.{module}")).items()
+               if name.startswith("_cmd_") and callable(value)}
+    assert defined == named
 
 
 @pytest.mark.parametrize("argv", [
@@ -614,7 +673,7 @@ def _draw_argv(data):
     """A command line drawn from the option table, and whether it was left well formed."""
     command = data.draw(st.sampled_from([*cli._OPTIONS, "nonsense"]))
     pairs = []
-    for flags, _, kind, choices, required, _, _ in cli._OPTIONS.get(command, ("", ()))[1]:
+    for flags, _, kind, choices, required, _, _ in cli._OPTIONS.get(command, ("", "", ()))[2]:
         if required or data.draw(st.booleans()):
             if choices:
                 value = data.draw(st.sampled_from(choices))

@@ -15,11 +15,13 @@ when the certificate's rows are built only on the leading columns.
 
 import io
 import random
+import re
 from sys import byteorder
 
 import pytest
 
 from gk2codes import curve as curve_mod
+from gk2codes.cli import main
 from gk2codes.curve import (
     CurvePoint,
     PointCensus,
@@ -755,3 +757,64 @@ def test_matrix_file_format(p23, ctx23):
     assert len(first) == 224
     assert all(0 <= int(v) < 64 for v in first)
     assert buf.getvalue().endswith("\n")
+
+
+@pytest.mark.parametrize("orbit", ["O1", "O2"])
+def test_basis_check_fires_without_the_smallest_pole_order(monkeypatch, p23, orbit):
+    # the smallest pole order is the first positive nongap, and no sum of the
+    # larger ones reaches it
+    real = curve_mod.generator_pole_orders
+
+    def without_smallest(params, orbit):
+        weights = real(params, orbit)
+        return tuple(w for w in weights if w != min(weights))
+
+    monkeypatch.setattr(curve_mod, "generator_pole_orders", without_smallest)
+    rho, weights = min(real(p23, orbit)), without_smallest(p23, orbit)
+    message = f"nongap {rho} not representable over pole orders {weights}"
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        build_basis(p23, orbit, 2)
+
+
+def test_distinguished_point_check_fires_without_roots_of_minus_one(monkeypatch, capsys, p23,
+                                                                    ctx23):
+    monkeypatch.setattr(GfContext, "nth_roots", lambda self, c, d: [])
+    message = "no (q+1)-st root of -1 in the field"
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        distinguished_point(p23, ctx23, "O2")
+    code = main(["code-matrix", "--q", "2", "--n", "3", "--orbit", "O2", "--l", "4"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"internal consistency failure: {message}\n")
+
+
+def test_census_check_fires_on_wrong_orbit_sizes(p23, ctx23):
+    c = census(p23, ctx23)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^orbit sizes \(4, 5\) != \(3, 6\) for q=2, n=3$"):
+        curve_mod._check_census(p23, PointCensus(c.total, c.o1 + 1, c.o2 - 1, c.generic))
+
+
+def test_eval_basis_raises_off_the_curve_where_x_plus_y_vanishes(p23, ctx23):
+    # x + y = 0 gives y^{q+1} = x^{q+1}, so no affine point of the curve has it
+    fn = build_basis(p23, "O1", 2)[1]
+    y = ctx23.neg(2)
+    message = f"x + y vanishes off the base point at (2, {y}, 1)"
+    with pytest.raises(NeedsLocalResolutionError, match=f"^{re.escape(message)}$"):
+        eval_basis(p23, ctx23, fn, CurvePoint(kind="affine", x=2, y=y, z=1))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (2, 5), (4, 3), (5, 3), (3, 5), (2, 7)])
+def test_no_denominator_vanishes_at_an_o2_point_off_the_base_point(q, n):
+    # the O2 points are the affine points with z = 0; the O1 base point is at
+    # infinity, and y = a holds at the O2 base point alone
+    params = curve_params(q, n)
+    ctx = field_context(params)
+    exp = ctx._exp
+    points = [CurvePoint("affine", x, 0 if ly is None else exp[ly], 0)
+              for x, _, ly, lzs in curve_mod._affine_logs(params, ctx) if lzs is None]
+    assert len(points) == q**3 - q
+    for orbit in ("O1", "O2"):
+        base = distinguished_point(params, ctx, orbit)
+        others = [pt for pt in points if pt.sort_key() != base.sort_key()]
+        assert len(others) == len(points) - (orbit == "O2")
+        assert all(_num_den(ctx, orbit, pt, base)[1] for pt in others), orbit

@@ -1,5 +1,10 @@
+import re
+
 import pytest
 
+from gk2codes import fengrao
+from gk2codes.cli import main
+from gk2codes.errors import InternalConsistencyError
 from gk2codes.fengrao import CodeTableRow, _read, d_ord, nu, table
 from gk2codes.gk2 import curve_params, semigroup_o1, semigroup_o2
 from gk2codes.semigroup import NumericalSemigroup
@@ -178,3 +183,24 @@ def test_table_matches_per_row_oracle(q, n, orbit):
         rows = table(sg, params, l_min, l_max)
         assert rows == table_per_row(sg, params, l_min, l_max), (l_min, l_max)
         assert all(type(r) is CodeTableRow for r in rows)
+
+
+def test_tail_law_check_fires_on_a_perturbed_gap_pair_count(monkeypatch, capsys):
+    # one gap pair count off by one breaks the total g^2, whatever the slot
+    real = fengrao._gap_pair_counts
+
+    def one_slot_off(gap_bytes, genus):
+        counts = list(real(gap_bytes, genus))
+        counts[len(counts) // 2] += 1
+        return counts
+
+    monkeypatch.setattr(fengrao, "_gap_pair_counts", one_slot_off)
+    params = curve_params(2, 3)
+    sg = semigroup_o1(params)
+    message = (f"Feng-Rao profile of {sg.generators} (g = {params.genus}) breaks the tail "
+               "law nu(3g) = 2g or the gap pair total g^2")
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        nu(sg, 1)
+    code = main(["fengrao-table", "--q", "2", "--n", "3", "--orbit", "O1"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"internal consistency failure: {message}\n")

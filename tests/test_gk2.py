@@ -287,6 +287,26 @@ def test_k_max_matches_inequality_scan(q, n):
         assert k_max(params, t) == best
 
 
+
+@pytest.mark.parametrize("q,n", SWEEP)
+def test_k_max_is_the_run_bound_of_the_gap_indicator(q, n):
+    # _holomorphic_gap_indicator loops over j < q^2 - 1 and l <= q, and marks
+    # one run of k from (q^n + 1) j + l m + 1 where (j + l) m fits the budget:
+    # that is where k_max is defined, and the run has k_max + 1 values
+    params = curve_params(q, n)
+    m, budget = params.m, params.differential_pole_bound
+    indicator = gk2._holomorphic_gap_indicator(params)
+    want, total = bytearray(len(indicator)), 0
+    for l in range(q + 1):
+        for j in range(q * q - 1):
+            assert ((j + l) * m <= budget) == (j + l < q * q - 1), (j, l)
+            if j + l < q * q - 1:
+                start, size = (q**n + 1) * j + l * m + 1, k_max(params, j + l) + 1
+                want[start:start + size] = b"\x01" * size
+                total += size
+    assert total == params.genus == want.count(1)  # disjoint runs, so each has its length
+    assert indicator == want
+
 def test_canonical_triple_examples():
     p25 = curve_params(2, 5)
     assert canonical_triple(p25, 0) == (0, 0, 0)
