@@ -502,6 +502,19 @@ def test_usage_error_in_each_command_module_exits_1(argv):
     assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1, out.stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    # the q bound of the commands that build a field comes before curve_params
+    ("points --q 6 --n 3", "curve subcommands support q <= 5, got 6"),
+    ("code-matrix --q 7 --n 4 --orbit O1 --l 4", "curve subcommands support q <= 5, got 7"),
+    ("verify --q 9 --n 4", "curve subcommands support q <= 5, got 9"),
+    # the table commands build no field and have no q bound
+    ("semigroup --q 6 --n 3 --orbit O1", "q = 6 is not a prime power"),
+    ("frobenius --q 6 --n 3", "q = 6 is not a prime power"),
+], ids=["points", "code-matrix", "verify", "semigroup", "frobenius"])
+def test_an_input_failing_two_checks_gets_the_first_ones_message(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (1, "", f"usage error: {message}\n")
+
+
 def test_every_benchmark_job_matches_its_golden_record_through_the_entry_point():
     golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
     for key, want in json.loads(golden.read_text()).items():

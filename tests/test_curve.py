@@ -14,12 +14,14 @@ when the certificate's rows are built only on the leading columns.
 """
 
 import io
+import json
 import random
 import re
 from sys import byteorder
 
 import pytest
 
+from gk2codes import cli, refdata
 from gk2codes import curve as curve_mod
 from gk2codes.cli import main
 from gk2codes.curve import (
@@ -785,6 +787,59 @@ def test_distinguished_point_check_fires_without_roots_of_minus_one(monkeypatch,
     code = main(["code-matrix", "--q", "2", "--n", "3", "--orbit", "O2", "--l", "4"])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", f"internal consistency failure: {message}\n")
+
+
+def test_unresolved_evaluation_exits_3_without_output(monkeypatch, capsys, tmp_path):
+    def unresolved(*args, **kwargs):
+        raise NeedsLocalResolutionError("probe")
+
+    monkeypatch.setattr(curve_mod, "eval_basis", unresolved)
+    path = tmp_path / "matrix"
+    code = main(["code-matrix", "--q", "2", "--n", "3", "--orbit", "O2", "--l", "4",
+                 "-o", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (
+        cli.EXIT_UNRESOLVED, "", "needs local resolution: row for pole order 0: probe\n")
+    assert not path.exists()
+
+
+def test_verify_reports_a_failed_rank_staircase(monkeypatch, capsys):
+    argv = ["verify", "--q", "2", "--n", "3"]
+    assert main(argv) == 0
+    want = json.loads(capsys.readouterr().out)
+    _repeat_last_basis_function(monkeypatch)
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.err) == (2, "")
+    got = json.loads(out.out)
+    for check in want["checks"]:
+        if check["name"] == "rank_staircase_l_le_10":
+            check["ok"] = False
+    assert got == {**want, "all_ok": False}
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p, ctx: generator_pole_orders(p, "O3"), "orbit must be 'O1' or 'O2', got 'O3'"),
+    (lambda p, ctx: distinguished_point(p, ctx, "O3"), "orbit must be 'O1' or 'O2', got 'O3'"),
+    (lambda p, ctx: build_basis(p, "O1", 0), "count must be >= 1, got 0"),
+    (lambda p, ctx: min_weight_exhaustive(ctx, []), "empty matrix"),
+    (lambda p, ctx: GfContext(2, 0), "deg must be >= 1, got 0"),
+    (lambda p, ctx: ctx.from_coeffs([1] * 7), "too many coefficients for degree 6"),
+    (lambda p, ctx: ctx.coeffs(64), "element 64 outside field of order 64"),
+    (lambda p, ctx: ctx.log(0), "discrete log of 0"),
+    (lambda p, ctx: ctx.nth_roots(1, 0), "root degree must be >= 1, got 0"),
+    (lambda p, ctx: orbit_semigroup(p, "O1").nth_nongap(0), "nongap index must be >= 1, got 0"),
+    (lambda p, ctx: refdata._notes(curve_params(3, 3), "O1", []),
+     "no reference table for q=3, n=3"),
+    (lambda p, ctx: refdata.compare_quantum_table(
+        curve_params(3, 3), orbit_semigroup(curve_params(3, 3), "O1"), "O1"),
+     "no reference table for q=3, n=3"),
+], ids=["generator_pole_orders", "distinguished_point", "build_basis", "min_weight_exhaustive",
+        "GfContext", "from_coeffs", "coeffs", "log", "nth_roots", "nth_nongap", "_notes",
+        "compare_quantum_table"])
+def test_input_guard_rejects_with_its_message(p23, ctx23, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(p23, ctx23)
 
 
 def test_census_check_fires_on_wrong_orbit_sizes(p23, ctx23):
