@@ -5,15 +5,12 @@ matrix with curve.write_matrix.
 """
 
 from . import curve
-from .errors import UsageError, _require_curve_scale
-from .gk2 import curve_params
+from .errors import UsageError
 
 
-def _cmd_points(args):
+def _cmd_points(args, params):
     from ._render import _head, _payload
 
-    _require_curve_scale(args.q)
-    params = curve_params(args.q, args.n)
     ctx = curve.field_context(params)
     c = curve.census(params, ctx)
     payload = {
@@ -26,9 +23,7 @@ def _cmd_points(args):
     return _payload(args.format, payload)
 
 
-def _cmd_code_matrix(args):
-    _require_curve_scale(args.q)
-    params = curve_params(args.q, args.n)
+def _cmd_code_matrix(args, params):
     if args.l < 1:
         raise UsageError(f"--l must be >= 1, got {args.l}")
     n_support = params.rational_point_count - 1

@@ -12,7 +12,6 @@ from ._render import _head, _payload
 from .errors import UsageError
 from .gk2 import (
     _holomorphic_gap_indicator,
-    curve_params,
     frobenius_dimension_gk1,
     frobenius_dimension_gk2,
     frobenius_dimensions_differ,
@@ -31,8 +30,7 @@ def _require_printable(name, value, params):
                          "conversion") from None
 
 
-def _cmd_semigroup(args):
-    params = curve_params(args.q, args.n)
+def _cmd_semigroup(args, params):
     sg = orbit_semigroup(params, args.orbit)
     payload = {
         **_head(args),
@@ -45,11 +43,10 @@ def _cmd_semigroup(args):
     return _payload(args.format, payload)
 
 
-def _cmd_gaps(args):
+def _cmd_gaps(args, params):
     from ._table_writer import _table
 
     # streamed off gap bytes whose count is asserted to be g: no tuple of g ints
-    params = curve_params(args.q, args.n)
     if args.orbit == "O2":  # asserts |L| = g and L = complement
         gap_bytes = _holomorphic_gap_indicator(params)
     else:
@@ -59,11 +56,10 @@ def _cmd_gaps(args):
                   [(params.genus, [gaps])])
 
 
-def _cmd_fengrao_table(args):
+def _cmd_fengrao_table(args, params):
     from . import fengrao
     from ._table_writer import _table
 
-    params = curve_params(args.q, args.n)
     sg = orbit_semigroup(params, args.orbit)
     _, index, dims, rhos, nus, d_ords = fengrao._table_columns(sg, params, args.lmin, args.lmax)
     meta = {**_head(args), "N": params.rational_point_count - 1}
@@ -71,11 +67,10 @@ def _cmd_fengrao_table(args):
                   [(len(index), [dims, rhos, nus, d_ords])])
 
 
-def _cmd_quantum_table(args):
+def _cmd_quantum_table(args, params):
     from . import quantum
     from ._table_writer import _table
 
-    params = curve_params(args.q, args.n)
     length = params.rational_point_count - 1
     if args.regime == quantum.REGIME_HIGH_DEGREE:
         # one or two runs, s_min and the note constant over each: no record or semigroup
@@ -97,8 +92,7 @@ def _cmd_quantum_table(args):
                   text=("discrepancy",))
 
 
-def _cmd_frobenius(args):
-    params = curve_params(args.q, args.n)
+def _cmd_frobenius(args, params):
     differ = frobenius_dimensions_differ(args.q, args.n)
     gk1 = frobenius_dimension_gk1(params)
     _require_printable("gk1", gk1, params)  # the largest payload value

@@ -2,11 +2,10 @@
 
 from . import curve, refdata
 from ._render import _head, _payload, _text
-from .errors import InternalConsistencyError, _require_curve_scale
+from .errors import InternalConsistencyError
 from .gf import MAX_FIELD_SIZE
 from .gk2 import (
     _holomorphic_gap_indicator,
-    curve_params,
     frobenius_dimension_gk1,
     frobenius_dimension_gk2,
     frobenius_dimensions_differ,
@@ -17,9 +16,7 @@ from .gk2 import (
 from .semigroup import telescopic_genus
 
 
-def _cmd_verify(args):
-    _require_curve_scale(args.q)
-    params = curve_params(args.q, args.n)
+def _cmd_verify(args, params):
     checks = []
 
     def check(name, ok, detail=""):

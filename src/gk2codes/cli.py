@@ -25,6 +25,8 @@ EXIT_USAGE = 1
 EXIT_INCONSISTENT = 2
 EXIT_UNRESOLVED = 3
 
+MAX_CURVE_Q = 5  # the bound on q of the commands that build the curve's field
+
 # quantum.REGIME_ORDER_BOUND and quantum.REGIME_HIGH_DEGREE, spelled out so
 # that building the parser does not import quantum
 _REGIMES = ("order-bound", "high-degree")
@@ -33,8 +35,8 @@ _REGIMES = ("order-bound", "high-degree")
 # Every subcommand's help line, family module and options, in --help order.
 # An option is (flags, dest, type, choices, required, default, help);
 # build_parser() and _parse() both read it.  main calls the module's
-# _cmd_<command with - as _>, which returns a writer of its output, or
-# (writer, ok), where ok False exits EXIT_INCONSISTENT.
+# _cmd_<command with - as _>(args, curve_params(q, n)), which returns a writer
+# of its output, or (writer, ok), where ok False exits EXIT_INCONSISTENT.
 _Q = (("--q",), "q", int, None, True, None, "prime power")
 _N = (("--n",), "n", int, None, True, None, "odd integer >= 3")
 _ORBIT = (("--orbit",), "orbit", str, ("O1", "O2"), True, None, None)
@@ -159,8 +161,14 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse(argv) or build_parser().parse_args(argv)
-        module = import_module(f"{__package__}.{_OPTIONS[args.command][1]}")
-        result = getattr(module, "_cmd_" + args.command.replace("-", "_"))(args)
+        family = _OPTIONS[args.command][1]
+        if family != "_cmd_tables" and args.q > MAX_CURVE_Q:  # _cmd_tables builds no field
+            raise UsageError(f"curve subcommands support q <= {MAX_CURVE_Q}, got {args.q}")
+        from .gk2 import curve_params
+
+        params = curve_params(args.q, args.n)
+        module = import_module(f"{__package__}.{family}")
+        result = getattr(module, "_cmd_" + args.command.replace("-", "_"))(args, params)
         write, ok = result if isinstance(result, tuple) else (result, True)
         return _emit(write, args.output, EXIT_OK if ok else EXIT_INCONSISTENT)
     except UsageError as exc:

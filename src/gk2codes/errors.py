@@ -7,8 +7,6 @@ codes: a command line the CLI rejects, a failed internal identity
 (power series) analysis to resolve.
 """
 
-MAX_CURVE_Q = 5
-
 
 class UsageError(Exception):
     """A command line or input the CLI rejects; it exits 1 with one line."""
@@ -24,9 +22,3 @@ class NeedsLocalResolutionError(ValueError):
 
 class PoleEvaluationError(ValueError):
     """Function evaluated at a point where it has a pole."""
-
-
-def _require_curve_scale(q: int):
-    """The bound on q of the subcommands that build a curve's field: points, code-matrix, verify."""
-    if q > MAX_CURVE_Q:
-        raise UsageError(f"curve subcommands support q <= {MAX_CURVE_Q}, got {q}")

@@ -1356,7 +1356,7 @@ def test_high_degree_table_past_the_digit_limit_writes_nothing(tmp_path, fmt, to
 
 
 def test_memory_error_is_a_one_line_error(capsys, monkeypatch):
-    def exhausted(args):
+    def exhausted(args, params):
         raise MemoryError
 
     monkeypatch.setattr(_cmd_tables, "_cmd_semigroup", exhausted)
