@@ -1,7 +1,7 @@
 """The CLI's integer subcommands: semigroup, gaps, fengrao-table, quantum-table and frobenius.
 
-None builds a field.  fengrao, quantum and refdata are imported by the
-commands that use them, and the table writer by the table commands.
+None builds a field.  Each command imports the modules it runs: fengrao,
+quantum, the table writer, and refdata only at the published (q, n).
 """
 
 import sys
@@ -11,6 +11,7 @@ from operator import attrgetter
 from ._render import _head, _payload
 from .errors import UsageError
 from .gk2 import (
+    REFERENCE_QN,
     _holomorphic_gap_indicator,
     frobenius_dimension_gk1,
     frobenius_dimension_gk2,
@@ -78,12 +79,12 @@ def _cmd_quantum_table(args, params):
         runs = [(count, [*fields[1:5], fields[6]]) for count, fields
                 in quantum._runs(params, None, args.lmin, args.lmax, args.regime)]
     else:
-        from . import refdata
-
         sg = orbit_semigroup(params, args.orbit)
         rows = quantum.quantum_table(params, sg, args.lmin, args.lmax, regime=args.regime)
         notes = None  # no published table: no row has a note
-        if refdata.has_reference(params):
+        if (params.q, params.n) == REFERENCE_QN:
+            from . import refdata
+
             notes = refdata._notes(params, args.orbit, rows)
         fields = ("index", "d_floor", "s_min", "s_max")
         runs = [(len(rows), [*(map(attrgetter(f), rows) for f in fields), notes])]

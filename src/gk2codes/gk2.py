@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 # semigroup is imported by the functions that sieve, so a job that only
 # reads the curve's scalars (points) compiles no sieve.
 
+REFERENCE_QN = (2, 5)  # the one (q, n) with published code tables, which refdata holds
+
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p**e, p prime; reject non prime powers."""

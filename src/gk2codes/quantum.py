@@ -19,11 +19,12 @@ from __future__ import annotations
 import operator
 from itertools import repeat
 from operator import sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .fengrao import d_ord
 from .gk2 import CurveParams
-from .semigroup import NumericalSemigroup
+
+if TYPE_CHECKING:
+    from .semigroup import NumericalSemigroup
 
 REGIME_HIGH_DEGREE = "high-degree"
 REGIME_ORDER_BOUND = "order-bound"
@@ -106,6 +107,8 @@ def _runs(params: CurveParams, semigroup: NumericalSemigroup | None, l_min: int 
                            range(length - 2 * lo, length - 2 * hi, -2), regime, note))
                 for lo, hi, note in ((l_min, split, None), (split, l_max + 1, "empty range"))
                 if lo < hi]
+    from .fengrao import d_ord  # only this regime runs the Feng-Rao floor
+
     index = range(l_min, l_max + 1)
     n_minus_2l = range(length - 2 * l_min, length - 2 * l_max - 1, -2)
     d = list(map(d_ord, repeat(semigroup), index))

@@ -18,26 +18,20 @@ formula output is never altered to match the reference.
 
 from __future__ import annotations
 
+import csv
 from importlib import resources
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .gk2 import CurveParams
+from .fengrao import table as fengrao_table
+from .gk2 import REFERENCE_QN, CurveParams
+from .quantum import QuantumRange, quantum_table
 from .semigroup import NumericalSemigroup
 
-if TYPE_CHECKING:
-    from .quantum import QuantumRange
-
-# csv, fengrao and quantum are imported by the functions that read or compare
-# published tables, so a (q, n) without them compiles none of the three.
-
-REFERENCE_QN = (2, 5)
 _CODE_FILES = {"O1": "code_table_o1_q2_n5.csv", "O2": "code_table_o2_q2_n5.csv"}
 _QUANTUM_FILES = {"O1": "quantum_table_o1_q2_n5.csv", "O2": "quantum_table_o2_q2_n5.csv"}
 
 
 def _read_csv(name: str) -> list[dict[str, int]]:
-    import csv
-
     ref = resources.files("gk2codes.data").joinpath(name)
     with ref.open(newline="") as f:
         return [{k: int(v) for k, v in row.items()} for row in csv.DictReader(f)]
@@ -105,8 +99,6 @@ def compare_code_table(
     params: CurveParams, semigroup: NumericalSemigroup, orbit: str
 ) -> CodeTableComparison:
     """Check every printed cell of the classical reference table for one orbit."""
-    from .fengrao import table as fengrao_table
-
     if not has_reference(params):
         raise ValueError(f"no reference table for q={params.q}, n={params.n}")
     ref = load_code_reference(orbit)
@@ -170,8 +162,6 @@ def compare_quantum_table(
 
     One quantum_table over the printed l-window gives the computed ranges.
     """
-    from .quantum import quantum_table
-
     if not has_reference(params):
         raise ValueError(f"no reference table for q={params.q}, n={params.n}")
     printed = load_quantum_reference(orbit)

@@ -340,8 +340,10 @@ _IMPORT_PROBE_JOBS = {
     "frobenius": ("--q", "2", "--n", "5", "--format", "csv"),
     "points": ("--q", "2", "--n", "3"),
     "code-matrix": ("--q", "2", "--n", "3", "--orbit", "O1", "--l", "4"),
+    "quantum-table no-reference": ("--q", "2", "--n", "3", "--orbit", "O1"),
     "verify": ("--q", "2", "--n", "5"),
     "verify no-reference": ("--q", "3", "--n", "3"),
+    "verify above the table cap": ("--q", "4", "--n", "7"),
 }
 _NOT_LOADED_BY = {
     # the census reads the curve's scalars only: no sieve, and no table
@@ -354,12 +356,19 @@ _NOT_LOADED_BY = {
     "gaps": {"gk2codes.gf", "gk2codes.curve"},
     "fengrao-table": {"gk2codes.gf", "gk2codes.curve"},
     "quantum-table": {"gk2codes.gf", "gk2codes.curve"},
-    # reference rows exist only for the order-bound regime
-    "quantum-table high-degree": {"gk2codes.gf", "gk2codes.curve", "gk2codes.refdata", "csv"},
+    # reference rows exist only for the order-bound regime, and high-degree
+    # rows run neither the Feng-Rao floor nor the sieve
+    "quantum-table high-degree": {"gk2codes.gf", "gk2codes.curve", "gk2codes.refdata", "csv",
+                                  "gk2codes.fengrao", "gk2codes.semigroup"},
+    # no published tables at (2, 3): the reference machinery is not loaded
+    "quantum-table no-reference": {"gk2codes.gf", "gk2codes.curve", "gk2codes.refdata", "csv"},
     "verify": {"gk2codes._table_writer"},
     # no published tables at (3, 3): the reference machinery is not loaded
-    "verify no-reference": {"gk2codes.fengrao", "gk2codes.quantum", "csv",
+    "verify no-reference": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata", "csv",
                             "gk2codes._table_writer"},
+    # F_{4^14} is past the table cap: no census, so no curve; no published tables
+    "verify above the table cap": {"gk2codes.curve", "gk2codes.fengrao", "gk2codes.quantum",
+                                   "gk2codes.refdata", "csv", "gk2codes._table_writer"},
 }
 
 # the module of each subcommand's command family, which holds its body
@@ -432,6 +441,15 @@ def test_cli_imports_only_the_standard_library():
     assert all(line.endswith(" 0 False") for line in lines), lines
 
 
+def test_quantum_loads_neither_the_feng_rao_module_nor_the_sieve():
+    # the order-bound floor imports fengrao when it runs; semigroup is a type only
+    out = subprocess.run([sys.executable, "-c", "import sys\nimport gk2codes.quantum\n"
+                          "print(*sorted(m for m in sys.modules if m.startswith('gk2codes')))"],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.split() == ["gk2codes", "gk2codes.errors", "gk2codes.gk2", "gk2codes.quantum"]
+
+
 def test_plain_jobs_never_load_json():
     # json is the renderer's fallback for values it does not write itself
     probe = (
@@ -486,15 +504,25 @@ def test_each_command_body_is_named_by_one_option_row():
 
 
 @pytest.mark.parametrize("argv", [
+    # the q bound, raised in the entry module itself
     "points --q 7 --n 3",
+    # --l < 1, raised in _cmd_curve
     "code-matrix --q 2 --n 3 --orbit O1 --l 0",
-    "quantum-table --q 2 --n 5 --orbit O1 --lmin 5 --lmax 4",  # a ValueError
-    "frobenius --q 4 --n 8001",  # gk1 past the digit limit
+    # a ValueError from quantum._window, which the entry module maps to exit 1
+    "quantum-table --q 2 --n 5 --orbit O1 --lmin 5 --lmax 4",
+    # gk1 past the digit limit, raised in _cmd_tables._require_printable
+    "frobenius --q 4 --n 8001",
+    # the q bound again: _cmd_verify raises no UsageError
     "verify --q 7 --n 3",
+    # l > N = 224, raised in _cmd_curve
+    pytest.param("code-matrix --q 2 --n 3 --orbit O1 --l 225", id="code-matrix-l-past-N"),
+    # N past the digit limit, raised in _cmd_tables._require_printable
+    pytest.param("quantum-table --q 4 --n 8001 --orbit O1 --regime high-degree",
+                 id="quantum-table-N-past-digit-limit"),
 ], ids=lambda argv: argv.split()[0])
 def test_usage_error_in_each_command_module_exits_1(argv):
-    # the error is raised in the command's module and caught by the entry
-    # module running as __main__: both must see the one UsageError class
+    # an error raised in a command module is caught by the entry module
+    # running as __main__: both must see the one UsageError class
     out = subprocess.run([sys.executable, "-m", "gk2codes.cli", *argv.split()],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 1, out.stderr
@@ -1211,8 +1239,8 @@ def test_reference_notes_cost_no_second_pass(capsys, monkeypatch):
     # (2, 5) has published quantum rows: the notes go onto the 2g rows that
     # quantum_table built, so d_ord runs once per row
     calls = []
-    d_ord = quantum.d_ord
-    monkeypatch.setattr(quantum, "d_ord", lambda *args: calls.append(args) or d_ord(*args))
+    d_ord = fengrao.d_ord
+    monkeypatch.setattr(fengrao, "d_ord", lambda *args: calls.append(args) or d_ord(*args))
     code, out, _ = run_cli(capsys, "quantum-table", "--q", "2", "--n", "5", "--orbit", "O1")
     assert code == 0
     assert len(calls) == 2 * 46
