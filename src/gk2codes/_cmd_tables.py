@@ -49,7 +49,7 @@ def _cmd_gaps(args, params):
 
     # streamed off gap bytes whose count is asserted to be g: no tuple of g ints
     if args.orbit == "O2":  # asserts |L| = g and L = complement
-        gap_bytes = _holomorphic_gap_indicator(params)
+        gap_bytes = _holomorphic_gap_indicator(params)[0]
     else:
         gap_bytes = semigroup_o1(params)._gap_indicator()
     gaps = compress(range(len(gap_bytes)), gap_bytes)

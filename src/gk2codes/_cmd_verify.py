@@ -2,15 +2,14 @@
 
 from ._render import _head, _payload, _text
 from .errors import InternalConsistencyError
-from .gf import MAX_FIELD_SIZE
 from .gk2 import (
+    MAX_FIELD_SIZE,
     REFERENCE_QN,
     _holomorphic_gap_indicator,
     frobenius_dimension_gk1,
     frobenius_dimension_gk2,
     frobenius_dimensions_differ,
     semigroup_o1,
-    semigroup_o2,
     verify_partition,
 )
 from .semigroup import telescopic_genus
@@ -23,7 +22,10 @@ def _cmd_verify(args, params):
         checks.append({"name": name, "ok": bool(ok), "detail": str(detail)})
 
     s1 = semigroup_o1(params)  # genus identity asserted inside
-    s2 = semigroup_o2(params)
+    # asserts |L| = g and L = the complement of s2, the one O2 sieve of this run
+    gap_bytes, s2 = _holomorphic_gap_indicator(params)
+    n_gaps = gap_bytes.count(1)
+    del gap_bytes  # freed before verify_partition's sieves
     check("o1_genus", s1.genus == params.genus, f"{s1.genus} == {params.genus}")
     check("o2_genus", s2.genus == params.genus, f"{s2.genus} == {params.genus}")
     top = params.q**params.n + 1
@@ -34,7 +36,6 @@ def _cmd_verify(args, params):
     else:
         check("symmetric_at_n3", not nonsym, "telescopic orbit semigroup at n = 3")
 
-    n_gaps = _holomorphic_gap_indicator(params).count(1)  # asserts size and complement equality
     check("differential_gap_set", n_gaps == params.genus, f"|L| = {n_gaps}")
 
     # verify_partition reports the genus of its sieve of this same sequence

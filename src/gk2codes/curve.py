@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from .errors import InternalConsistencyError, NeedsLocalResolutionError, PoleEvaluationError
 from .gf import GfContext, make_field, rank_profile
-from .gk2 import CurveParams, o1_generators, orbit_semigroup, prime_power_decompose
+from .gk2 import CurveParams, o1_generators, o2_generators, orbit_semigroup, prime_power_decompose
 
 ORBIT_INFINITE = "O1"
 ORBIT_SMALL_AFFINE = "O2"
@@ -91,8 +91,7 @@ def field_context(params: CurveParams) -> GfContext:
 
 def small_field_elements(params: CurveParams, ctx: GfContext) -> frozenset[int]:
     """The subfield F_{q^2} inside F_{q^{2n}}."""
-    p, e = prime_power_decompose(params.q)
-    return frozenset(ctx.subfield_elements(2 * e))
+    return frozenset(ctx.subfield_elements(ctx.deg // params.n))
 
 
 def _fibers(params: CurveParams, ctx: GfContext):
@@ -254,8 +253,7 @@ def generator_pole_orders(params: CurveParams, orbit: str) -> tuple[int, ...]:
     if orbit == ORBIT_INFINITE:
         return o1_generators(params)  # mq + i(q^2-q) ascending, then q^n+1
     if orbit == ORBIT_SMALL_AFFINE:
-        q, m, s = params.q, params.m, params.s
-        return tuple(q**params.n + 1 - k for k in range(s + 1)) + (m * q,)
+        return o2_generators(params)[::-1]  # q^n+1-k for k = 0..s, then mq
     raise ValueError(f"orbit must be 'O1' or 'O2', got {orbit!r}")
 
 

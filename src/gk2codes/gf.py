@@ -1,5 +1,8 @@
 """Table-based finite field arithmetic F_{p^k}, sized for p^k <= 2^20.
 
+The cap, `MAX_FIELD_SIZE`, is stated in `gk2` and imported here, so
+`verify` reads it without compiling this module.
+
 Elements are represented by their serialized integer sum(c_i * p^i) for the
 coefficient vector (c_0, ..., c_{k-1}) in the polynomial basis; that same
 integer, in decimal, is the normative on-disk encoding.  The modulus is the
@@ -37,7 +40,7 @@ from __future__ import annotations
 from itertools import islice, product
 from math import gcd
 
-MAX_FIELD_SIZE = 1 << 20
+from .gk2 import MAX_FIELD_SIZE
 
 _FIELD_CACHE: dict[tuple[int, int], "GfContext"] = {}
 
@@ -290,10 +293,6 @@ class GfContext:
         return exp, log
 
     # -- field operations ----------------------------------------------------
-
-    @property
-    def zero(self) -> int:
-        return 0
 
     @property
     def one(self) -> int:

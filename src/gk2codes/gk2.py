@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 # reads the curve's scalars (points) compiles no sieve.
 
 REFERENCE_QN = (2, 5)  # the one (q, n) with published code tables, which refdata holds
+MAX_FIELD_SIZE = 1 << 20  # gf's table cap, stated here so verify reads it without gf
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
@@ -160,12 +161,12 @@ def holomorphic_gap_set(params: CurveParams) -> tuple[int, ...]:
     of the O2 semigroup.  Duplicate valuations would contradict the
     uniqueness of the triple representation, so they raise.
     """
-    seen = _holomorphic_gap_indicator(params)
+    seen = _holomorphic_gap_indicator(params)[0]
     return tuple(compress(range(len(seen)), seen))
 
 
-def _holomorphic_gap_indicator(params: CurveParams) -> bytearray:
-    """holomorphic_gap_set's byte table, after all its checks: 1 on each gap."""
+def _holomorphic_gap_indicator(params: CurveParams) -> tuple[bytearray, NumericalSemigroup]:
+    """holomorphic_gap_set's byte table, 1 on each gap, and the O2 semigroup it checked."""
     q, n, m = params.q, params.n, params.m
     budget = params.differential_pole_bound
     qq1 = q**n + 1
@@ -193,11 +194,12 @@ def _holomorphic_gap_indicator(params: CurveParams) -> bytearray:
         raise InternalConsistencyError(
             f"gap family size {distinct} != genus {params.genus} for q={q}, n={n}"
         )
-    if seen != semigroup_o2(params)._gap_indicator():
+    sg = semigroup_o2(params)
+    if seen != sg._gap_indicator():
         raise InternalConsistencyError(
             f"differential gap set != O2 semigroup complement for q={q}, n={n}"
         )
-    return seen
+    return seen, sg
 
 
 def canonical_triple(params: CurveParams, value: int) -> tuple[int, int, int]:

@@ -366,9 +366,11 @@ _NOT_LOADED_BY = {
     # no published tables at (3, 3): the reference machinery is not loaded
     "verify no-reference": {"gk2codes.fengrao", "gk2codes.quantum", "gk2codes.refdata", "csv",
                             "gk2codes._table_writer"},
-    # F_{4^14} is past the table cap: no census, so no curve; no published tables
-    "verify above the table cap": {"gk2codes.curve", "gk2codes.fengrao", "gk2codes.quantum",
-                                   "gk2codes.refdata", "csv", "gk2codes._table_writer"},
+    # F_{4^14} is past the table cap, which gk2 states: no census, so no curve
+    # and no field module; no published tables
+    "verify above the table cap": {"gk2codes.curve", "gk2codes.gf", "gk2codes.fengrao",
+                                   "gk2codes.quantum", "gk2codes.refdata", "csv",
+                                   "gk2codes._table_writer"},
 }
 
 # the module of each subcommand's command family, which holds its body
@@ -1026,6 +1028,24 @@ def test_verify_closes_the_telescopic_sequence_once(capsys, monkeypatch):
     monkeypatch.setattr(semigroup, "closure_table", counted)
     assert run_cli(capsys, "verify", "--q", "2", "--n", "5")[0] == 0
     assert closed.count(seq) == 1
+
+
+@pytest.mark.parametrize("q,n,o2_sieves", [(3, 5, 1), (4, 7, 1), (2, 5, 2)])
+def test_verify_sieves_o2_once_outside_the_staircase(capsys, monkeypatch, q, n, o2_sieves):
+    # the gap-family check hands verify the O2 semigroup it sieved; only the
+    # staircase of a field within 2^11, (2, 5) here, sieves it again in
+    # build_basis.  (3, 3) is left out: O1 and O2 have the same generators
+    gens = gk2.o2_generators(curve_params(q, n))
+    sieve = NumericalSemigroup.from_generators.__func__
+    sieved = []
+
+    def counted(cls, generators, *args, **kwargs):
+        sieved.append(tuple(generators))
+        return sieve(cls, generators, *args, **kwargs)
+
+    monkeypatch.setattr(NumericalSemigroup, "from_generators", classmethod(counted))
+    assert run_cli(capsys, "verify", "--q", str(q), "--n", str(n))[0] == 0
+    assert sieved.count(gens) == o2_sieves
 
 
 # stdout of verify --q 2 --n 3 when the basis repeats its last function, so

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gk2codes import gk2
+from gk2codes.curve import generator_pole_orders
 from gk2codes.errors import InternalConsistencyError
 from gk2codes.gk2 import (
     CurveParams,
@@ -103,6 +104,16 @@ def test_o2_generators_and_nongaps():
     s = semigroup_o2(p25)
     assert [s.nth_nongap(i) for i in range(1, 11)] == [0, 22, 28, 29, 30, 31, 32, 33, 44, 50]
     assert s.contains(59)  # 28 + 31
+
+
+@pytest.mark.parametrize("q,n", SWEEP)
+def test_o2_pole_orders_are_the_o2_generators_descending(q, n):
+    # the basis weights: q^n + 1 - k for k = 0..s, then mq, the smallest
+    params = curve_params(q, n)
+    weights = generator_pole_orders(params, "O2")
+    assert weights == o2_generators(params)[::-1]
+    top = q**n + 1
+    assert weights == (*(top - k for k in range(params.s + 1)), params.m * q)
 
 
 @pytest.mark.parametrize("q,n", SWEEP)
@@ -295,7 +306,7 @@ def test_k_max_is_the_run_bound_of_the_gap_indicator(q, n):
     # that is where k_max is defined, and the run has k_max + 1 values
     params = curve_params(q, n)
     m, budget = params.m, params.differential_pole_bound
-    indicator = gk2._holomorphic_gap_indicator(params)
+    indicator, _ = gk2._holomorphic_gap_indicator(params)
     want, total = bytearray(len(indicator)), 0
     for l in range(q + 1):
         for j in range(q * q - 1):
